@@ -185,12 +185,14 @@ class Polynomial:
         """Split off the highest power of p dividing every coefficient.
 
         Returns (t, Q) with P == p**t * Q exactly and p not dividing Q.
+        t is val_p of the gcd, so a thickness split (t <= deg P) costs at
+        most deg P + 1 divisions by p.
         """
         if p < 2:
             raise ValueError("p must be at least 2")
         if self.is_zero:
             raise ValueError("zero polynomial has infinite content")
-        t = min(val_p(c, p) for c in self.coeffs if c != 0)
+        t = val_p(math.gcd(*self.coeffs), p)
         if t == 0:
             return 0, self
         q = p ** t

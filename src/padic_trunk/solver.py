@@ -19,7 +19,6 @@ from .primes import PrimePower, factorize
 from .trunk import (
     STATUS_CYCLE,
     STATUS_HENSEL,
-    STATUS_UNDETERMINED,
     Trunk,
     build_trunk,
     hensel_lift,
@@ -74,12 +73,14 @@ class CrtSolution:
 
 
 def _require_depth(trunk: Trunk, e1: int) -> None:
-    for node in trunk.iter_nodes():
-        if node.status == STATUS_UNDETERMINED and node.phi < e1:
-            raise InsufficientDepthError(
-                f"insufficient depth: an undetermined branch at level {node.k}"
-                f" only covers levels up to {node.phi + trunk.t0};"
-                " rebuild the trunk with a larger max_level")
+    short = [n for n in trunk.undetermined_nodes() if n.phi < e1]
+    if short:
+        # open vertices sit at built_depth and gain thickness >= 1 per level
+        node = min(short, key=lambda n: n.phi)
+        raise InsufficientDepthError(
+            f"insufficient depth: an undetermined branch at level {node.k}"
+            f" only covers levels up to {node.phi + trunk.t0}; rebuild the"
+            f" trunk with max_level >= {trunk.built_depth + e1 - node.phi}")
 
 
 def _cycle_continuation(node, p: int, e1: int) -> tuple[int, int]:

@@ -169,7 +169,9 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
         root whose unique infinite thickness-1 continuation is lifted on
         demand rather than stored);
       * (successor, thickness) state equal to an ancestor's on the same
-        branch: "cycle-certified" with the repeating digit pattern;
+        branch: "cycle-certified" with the repeating digit pattern; one
+        dict holds the states on the current path, and an exit marker on
+        the stack drops each state once its subtree is done;
       * anything still open at max_level: "undetermined".
     """
     if not isinstance(max_level, int) or max_level < 1:
@@ -186,9 +188,14 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     t0, p0 = P.p_content(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0,
                      s=residual_degree(p0, p))
-    stack: list[tuple[TrunkNode, tuple[TrunkNode, ...]]] = [(root, ())]
+    path: dict[tuple, TrunkNode] = {}
+    stack: list[TrunkNode | tuple] = [root]
     while stack:
-        node, ancestors = stack.pop()
+        node = stack.pop()
+        if isinstance(node, tuple):
+            del path[node]
+            continue
+        state = (node.t, node.successor.coeffs)
         if node.k > 0:
             if node.s == 0:
                 # successor is a nonzero constant mod p: no roots ever
@@ -199,8 +206,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
                 node.status = STATUS_HENSEL
                 node.hensel_root = _linear_root(node.successor, p)
                 continue
-            match = next((a for a in reversed(ancestors)
-                          if a.t == node.t and a.successor == node.successor), None)
+            match = path.get(state)
             if match is not None:
                 node.status = STATUS_CYCLE
                 node.period = node.k - match.k
@@ -220,13 +226,14 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_LEAF
             continue
         node.status = STATUS_EXPANDED
+        path[state] = node
+        stack.append(state)
         pk = p ** node.k
-        child_ancestors = ancestors + (node,) if node.k > 0 else ()
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)
             child = TrunkNode(r=node.r + rho * pk, k=node.k + 1, t=t,
                               phi=node.phi + t, successor=successor,
                               s=residual_degree(successor, p))
             node.children.append(child)
-            stack.append((child, child_ancestors))
+            stack.append(child)
     return Trunk(p=p, t0=t0, P0=p0, root=root, built_depth=max_level)

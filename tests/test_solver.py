@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,16 @@ def test_is_solution_requires_depth(checked_build):
     # a deeper build answers the same query
     deeper = checked_build("(X^2-17)^2", 13, 4)
     assert is_solution(deeper, 132, 5) == (parse("(X^2-17)^2").evaluate(132, 13**5) == 0)
+
+
+def test_insufficient_depth_names_a_sufficient_max_level():
+    P = parse("(X^2-17)^2")
+    with pytest.raises(InsufficientDepthError, match="^insufficient depth") as info:
+        count_solutions(build_trunk(P, 13, 3), 10)
+    level = int(re.search(r"max_level >= (\d+)", str(info.value)).group(1))
+    assert 3 < level <= 10
+    assert count_solutions(build_trunk(P, 13, level), 10) == count_solutions(
+        build_trunk(P, 13, 10), 10)
 
 
 # ----------------------------------------------------------------------

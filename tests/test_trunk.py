@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,7 @@ from padic_trunk.trunk import (
     STATUS_LEAF,
 )
 
+from conftest import TRUNK_CASES
 from invariants import check_trunk
 
 
@@ -272,3 +275,74 @@ def test_random_trunks_pass_invariants():
         check_trunk(build_trunk(P, p, rng.randint(1, 6)))
         built += 1
     assert built >= 70
+
+
+# ----------------------------------------------------------------------
+# golden snapshots: the builder must keep returning identical trunks
+# ----------------------------------------------------------------------
+
+# (poly, p, max_level) -> SHA-256 of the preorder vertex list and the
+# vertex count per status, both taken from the root down.  Recorded with
+# the earlier ancestor-scan builder and per-coefficient p_content.
+GOLDEN_TRUNKS = {
+    ("(X^2+3)*(X^2+3*X+9)", 3, 5): (
+        "9ee9a9173ae966289b97130f0a0c2ec497551f251b79fe9127610035feb80609",
+        {"expanded": 2, "leaf": 1}),
+    ("X*(X-1)^2+25", 5, 5): (
+        "05a5246c911788e2596aff07d67711f9c15adb658c1fe561945aef176ce6dab5",
+        {"expanded": 2, "hensel-certified": 3}),
+    ("X", 5, 3): (
+        "cd2254bdb31ac7ffa0a894d9435d25e157c58c9933115187fb433ceba7bc5135",
+        {"expanded": 1, "hensel-certified": 1}),
+    ("X^2", 3, 6): (
+        "62fe715a4d34737d7b2f6cf254af7d51db7a288c753f7a01114ce5c97ba24787",
+        {"cycle-certified": 1, "expanded": 2}),
+    ("(4*X-1)^2", 3, 8): (
+        "01ae740da90e287c347aafba1176dd772dc6719d3e3182914ebec6580f3c41b6",
+        {"cycle-certified": 1, "expanded": 3}),
+    ("(X-1)^2+3^5", 3, 6): (
+        "93c2df111e7ece9dd107b6a59395a23b1ed0ec299a624ce3ad5a79c215a9a776",
+        {"expanded": 3, "leaf": 1}),
+    ("(X-1)^2+3^4", 3, 6): (
+        "fed144832123a6227794492ab7243f27fb4a34d1d84ecd3809d5aa488fa4d8bb",
+        {"expanded": 2, "leaf": 1}),
+    ("(X-1)*(X-2)+5", 5, 4): (
+        "6c6ba8f602e2896bf32f0266bd28e3c56458560f0180bed4dcd4ece47a7b6cf5",
+        {"expanded": 1, "hensel-certified": 2}),
+    ("(X^2-17)^2", 13, 3): (
+        "362df7e0c25e7d559550bfe46669c388f466a017d453a87976daeec5e0a62363",
+        {"expanded": 5, "undetermined": 2}),
+    ("9*X^2+9", 3, 3): (
+        "214dc4ca4ef10a566fc7de3ce157ed6368dc03af969994671894408380cc4f54",
+        {"leaf": 1}),
+    ("7", 7, 2): (
+        "cf4ae9f60cbb36dff317e9dbb75a352876fd2145be4a33998af440bcf39f78fe",
+        {"leaf": 1}),
+    ("X^2+1", 3, 3): (
+        "4a75024d87da1b00dd885b742da094e5d3f252400439a6b117edb77360af47fb",
+        {"leaf": 1}),
+    ("(X^2-17)^2", 13, 60): (
+        "dcfb73aa3db9d63cbfa739a0e265cbea429394823519ad95a166a73a0818ac70",
+        {"expanded": 119, "undetermined": 2}),
+    ("X^4*(X-1)^3*(X+1)^2", 2, 40): (
+        "839bce0b06f397666843de6af948aace442cb057b9783fd797559988a38ed5d4",
+        {"expanded": 117, "undetermined": 3}),
+}
+
+
+def trunk_snapshot(trunk):
+    nodes = [trunk.root, *trunk.iter_nodes()]
+    rows = [(n.r, n.k, n.t, n.phi, n.s, n.status, n.hensel_root, n.period,
+             n.cycle_digits, n.successor.coeffs) for n in nodes]
+    digest = hashlib.sha256(repr((trunk.t0, rows)).encode()).hexdigest()
+    return digest, dict(Counter(n.status for n in nodes))
+
+
+def test_golden_trunks_cover_every_fixture_case():
+    assert {(text, p, lvl) for text, p, lvl in TRUNK_CASES} <= set(GOLDEN_TRUNKS)
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_TRUNKS), ids=str)
+def test_trunk_matches_golden_snapshot(case):
+    text, p, max_level = case
+    assert trunk_snapshot(build_trunk(parse(text), p, max_level)) == GOLDEN_TRUNKS[case]
