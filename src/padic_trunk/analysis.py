@@ -17,6 +17,7 @@ from .polynomial import Polynomial, val_p
 from .primes import is_prime
 from .solver import count_solutions
 from .trunk import (
+    CERTIFIED,
     STATUS_CYCLE,
     STATUS_HENSEL,
     STATUS_LEAF,
@@ -150,7 +151,7 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
         # window block: p**(e-k) solutions at each level phi-t < e <= phi
         block = [Fraction(0)] * (phi - t + 1) + [Fraction(1, p**k)] * t
         terms.append((block, None))
-        if node.status in (STATUS_HENSEL, STATUS_CYCLE):
+        if node.status in CERTIFIED:
             # geometric tail: one vertex per level beyond, thickness t each,
             # summing to u**(phi+1) (1 + ... + u**(t-1)) / p**(k+1) / (1 - u**t/p)
             tail = [Fraction(0)] * (phi + 1) + [Fraction(1, p**(k + 1))] * t

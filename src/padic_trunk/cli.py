@@ -17,7 +17,6 @@ import time
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
 from .polynomial import poly_to_str
-from .primes import factorize
 from .solver import (
     ball_decomposition,
     brute_force,
@@ -118,16 +117,21 @@ def _trunk_text(trunk: Trunk) -> str:
         "(0,0)",
     ]
 
-    def draw(node: TrunkNode, indent: str, last: bool) -> None:
+    # an explicit stack of (node, indent, is last child) keeps deep branches
+    # clear of the recursion limit
+    stack: list[tuple[TrunkNode, str, bool]] = []
+
+    def push_children(node: TrunkNode, indent: str) -> None:
+        stack.extend((child, indent, i == 0)
+                     for i, child in enumerate(reversed(node.children)))
+
+    push_children(trunk.root, "")
+    while stack:
+        node, indent, last = stack.pop()
         branch = "└─ " if last else "├─ "
         lines.append(f"{indent}{branch}({node.r},{node.k}) t={node.t}"
                      f" s={node.s} phi={node.phi} {_status_tag(node)}")
-        deeper = indent + ("   " if last else "│  ")
-        for i, child in enumerate(node.children):
-            draw(child, deeper, i == len(node.children) - 1)
-
-    for i, child in enumerate(trunk.root.children):
-        draw(child, "", i == len(trunk.root.children) - 1)
+        push_children(node, indent + ("   " if last else "│  "))
     return "\n".join(lines)
 
 
@@ -286,7 +290,7 @@ def _solve_modulus(args: argparse.Namespace) -> int:
     poly = parse(args.poly)
     result = crt_solve(poly, args.modulus, count_only=args.count_only,
                        max_prime=args.max_prime)
-    factored = " * ".join(f"{p}^{e}" for p, e in factorize(args.modulus))
+    factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
     if args.format == "text":
         print(f"modulus: {args.modulus} = {factored}")
         print(f"count: {result.count}")

@@ -12,7 +12,7 @@ and U+2212 is accepted as a minus sign)::
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 *, which binds tighter than binary + and -.  So "-X^2" is -(X^2) and
-"-3X" is (-3)*X.
+"-3X" is (-3)*X.  Parentheses nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .polynomial import Polynomial
 
 #: Largest accepted exponent literal, and largest expanded power degree.
 MAX_EXPONENT = 10_000
+
+#: Deepest accepted nesting of parentheses; bounds the parser's recursion.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -75,6 +78,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variable = variable.lower()
+        self.nesting = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -118,11 +122,14 @@ class _Parser:
                 return node
 
     def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return ("neg", self.factor())
-        return self.power()
+            signs += 1
+        node = self.power()
+        for _ in range(signs):
+            node = ("neg", node)
+        return node
 
     def power(self):
         node = self.atom()
@@ -159,7 +166,11 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", at)
             return ("var",)
         if kind == "op" and value == "(":
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
             node = self.expr()
+            self.nesting -= 1
             kind, value, at = self.advance()
             if kind != "op" or value != ")":
                 raise ParseError("unbalanced parenthesis", at)
@@ -172,50 +183,54 @@ def parse_ast(text: str, variable: str = "X"):
     return _Parser(text, variable).parse()
 
 
+# Binary and unary nodes keep their left (or only) operand at index 1.  The
+# fold walks that spine in a loop, so long chains such as a sum of many
+# terms recurse only into right operands, whose depth MAX_NESTING bounds.
+_SPINE = ("add", "sub", "mul", "pow", "neg")
+
+
+def _fold(node, leaf, power):
+    """Evaluate an AST: leaf(node) gives the value of an "int" or "var" node,
+    power(value, node) applies a "pow" node, and the values' own + - * do
+    the rest."""
+    spine = []
+    while node[0] in _SPINE:
+        spine.append(node)
+        node = node[1]
+    if node[0] not in ("int", "var"):
+        raise ValueError(f"unknown AST node {node[0]!r}")
+    value = leaf(node)
+    for op in reversed(spine):
+        tag = op[0]
+        if tag == "neg":
+            value = -value
+        elif tag == "pow":
+            value = power(value, op)
+        elif tag == "add":
+            value = value + _fold(op[2], leaf, power)
+        elif tag == "sub":
+            value = value - _fold(op[2], leaf, power)
+        else:
+            value = value * _fold(op[2], leaf, power)
+    return value
+
+
+def _polynomial_power(base: Polynomial, node) -> Polynomial:
+    exp = node[2]
+    if not base.is_zero and base.degree * exp > MAX_EXPONENT:
+        raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", node[3])
+    return base ** exp
+
+
 def ast_to_polynomial(node) -> Polynomial:
     """Expand an AST into a canonical Polynomial by exact arithmetic."""
-    tag = node[0]
-    if tag == "int":
-        return Polynomial((node[1],))
-    if tag == "var":
-        return Polynomial((0, 1))
-    if tag == "neg":
-        return -ast_to_polynomial(node[1])
-    if tag in ("add", "sub", "mul"):
-        a = ast_to_polynomial(node[1])
-        b = ast_to_polynomial(node[2])
-        if tag == "add":
-            return a + b
-        if tag == "sub":
-            return a - b
-        return a * b
-    if tag == "pow":
-        base = ast_to_polynomial(node[1])
-        exp = node[2]
-        if not base.is_zero and base.degree * exp > MAX_EXPONENT:
-            raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", node[3])
-        return base ** exp
-    raise ValueError(f"unknown AST node {tag!r}")
+    return _fold(node, lambda n: Polynomial((n[1],) if n[0] == "int" else (0, 1)),
+                 _polynomial_power)
 
 
 def ast_evaluate(node, x: int) -> int:
     """Evaluate the unexpanded AST at an integer (for cross-checks)."""
-    tag = node[0]
-    if tag == "int":
-        return node[1]
-    if tag == "var":
-        return x
-    if tag == "neg":
-        return -ast_evaluate(node[1], x)
-    if tag == "add":
-        return ast_evaluate(node[1], x) + ast_evaluate(node[2], x)
-    if tag == "sub":
-        return ast_evaluate(node[1], x) - ast_evaluate(node[2], x)
-    if tag == "mul":
-        return ast_evaluate(node[1], x) * ast_evaluate(node[2], x)
-    if tag == "pow":
-        return ast_evaluate(node[1], x) ** node[2]
-    raise ValueError(f"unknown AST node {tag!r}")
+    return _fold(node, lambda n: n[1] if n[0] == "int" else x, lambda v, n: v ** n[2])
 
 
 def parse(text: str, variable: str = "X") -> Polynomial:

@@ -3,10 +3,13 @@
 A trunk vertex (r, k) with thickness t and cumulative thickness phi
 accounts for the solutions of exactly the levels e with
 phi - t < e <= phi, where it contributes the full residue class
-r mod p**k, i.e. p**(e-k) solutions.  Certified infinite branches
-contribute through their closed-form continuations.  Composite moduli
-are handled by factoring and recombining with the Chinese remainder
-theorem.
+r mod p**k, i.e. p**(e-k) solutions.  A certified infinite branch goes
+on past phi with one vertex per level and thickness t per level, so at
+level e it contributes one class modulo p**(k + ceil((e - phi) / t)).
+Every query reads its answer off one pass over these windows: counting
+sums the ball sizes, while membership and ball listings compute the
+residues of certified tails on demand.  Composite moduli are handled
+by factoring and recombining with the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from dataclasses import dataclass
 from .polynomial import Polynomial
 from .primes import PrimePower, factorize
 from .trunk import (
-    STATUS_CYCLE,
+    CERTIFIED,
     STATUS_HENSEL,
+    STATUS_UNDETERMINED,
     Trunk,
+    TrunkNode,
     build_trunk,
     hensel_lift,
 )
@@ -72,52 +77,60 @@ class CrtSolution:
     factors: list[tuple[PrimePower, SolutionSet]]
 
 
-def _require_depth(trunk: Trunk, e1: int) -> None:
-    short = [n for n in trunk.undetermined_nodes() if n.phi < e1]
-    if short:
-        # open vertices sit at built_depth and gain thickness >= 1 per level
-        node = min(short, key=lambda n: n.phi)
-        raise InsufficientDepthError(
-            f"insufficient depth: an undetermined branch at level {node.k}"
-            f" only covers levels up to {node.phi + trunk.t0}; rebuild the"
-            f" trunk with max_level >= {trunk.built_depth + e1 - node.phi}")
+def _windows(trunk: Trunk, e1: int) -> list[tuple[TrunkNode, int]]:
+    """(node, k) for every vertex accounting for level e1 of the trunk of P0.
 
-
-def _cycle_continuation(node, p: int, e1: int) -> tuple[int, int]:
-    # Along a cycle every level adds thickness t, one vertex per level,
-    # with the base-p digits repeating with the certified period.
-    steps = -((e1 - node.phi) // -node.t)  # ceil division
-    r = node.r
-    digits = node.cycle_digits
-    m = len(digits)
-    pq = p ** node.k
-    for q in range(steps):
-        r += digits[q % m] * pq
-        pq *= p
-    return r, node.k + steps
-
-
-def _window_balls(trunk: Trunk, e1: int) -> list[SolutionBall]:
-    """Trunk vertices whose level window contains e1, as balls (r, k).
-
-    Certified infinite branches are continued lazily: a simple-root
-    branch by lifting, a cycle branch by repeating its digit pattern.
+    The vertex contributes one ball modulo p**k: its own class when
+    phi - t < e1 <= phi, and on a certified tail past phi the class one
+    level deeper for each further t levels.  Raises InsufficientDepthError
+    when an undetermined branch stops short of e1.
     """
-    p = trunk.p
-    balls = []
+    windows = []
+    short = None
     for node in trunk.iter_nodes():
-        if node.phi - node.t < e1 <= node.phi:
-            balls.append(SolutionBall(node.r, node.k))
-        elif e1 > node.phi:
-            if node.status == STATUS_HENSEL:
-                j = e1 - node.phi
-                y = hensel_lift(node.successor, node.hensel_root, p, j)
-                balls.append(SolutionBall(node.r + y * p**node.k, node.k + j))
-            elif node.status == STATUS_CYCLE:
-                r, k = _cycle_continuation(node, p, e1)
-                balls.append(SolutionBall(r, k))
-    balls.sort(key=lambda b: (b.k, b.r))
-    return balls
+        if e1 <= node.phi:
+            if e1 > node.phi - node.t:
+                windows.append((node, node.k))
+        elif node.status in CERTIFIED:
+            # node.k + ceil((e1 - phi) / t)
+            windows.append((node, node.k - (node.phi - e1) // node.t))
+        elif node.status == STATUS_UNDETERMINED and (short is None or node.phi < short.phi):
+            short = node
+    if short is not None:
+        # open vertices sit at built_depth and gain thickness >= 1 per level
+        raise InsufficientDepthError(
+            f"insufficient depth: an undetermined branch at level {short.k}"
+            f" only covers levels up to {short.phi + trunk.t0}; rebuild the"
+            f" trunk with max_level >= {trunk.built_depth + e1 - short.phi}")
+    return windows
+
+
+def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:
+    """The ball modulo p**k that node contributes, continuing a certified tail."""
+    steps = k - node.k
+    if steps == 0:
+        return SolutionBall(node.r, k)
+    if node.status == STATUS_HENSEL:
+        y = hensel_lift(node.successor, node.hensel_root, p, steps)
+        return SolutionBall(node.r + y * p**node.k, k)
+    # along a cycle the base-p digits repeat with the certified period
+    digits = node.cycle_digits
+    r, pq = node.r, p**node.k
+    for q in range(steps):
+        r += digits[q % len(digits)] * pq
+        pq *= p
+    return SolutionBall(r, k)
+
+
+def _members(decomposition: SolutionSet) -> list[int]:
+    """The sorted integers in [0, p**e) covered by the decomposition's balls."""
+    p = decomposition.p
+    pe = p ** decomposition.e
+    out: list[int] = []
+    for ball in decomposition.balls:
+        out.extend(range(ball.r, pe, p ** ball.k))
+    out.sort()
+    return out
 
 
 def is_solution(trunk: Trunk, x: int, e: int) -> bool:
@@ -127,9 +140,8 @@ def is_solution(trunk: Trunk, x: int, e: int) -> bool:
     e1 = e - trunk.t0
     if e1 <= 0:
         return True
-    _require_depth(trunk, e1)
     p = trunk.p
-    return any(x % p**ball.k == ball.r for ball in _window_balls(trunk, e1))
+    return any(x % p**k == _ball(p, node, k).r for node, k in _windows(trunk, e1))
 
 
 def count_solutions(trunk: Trunk, e: int) -> int:
@@ -146,19 +158,7 @@ def count_solutions(trunk: Trunk, e: int) -> int:
     if e <= t0:
         return p ** e
     e1 = e - t0
-    _require_depth(trunk, e1)
-    total = 0
-    for node in trunk.iter_nodes():
-        if node.phi - node.t < e1 <= node.phi:
-            total += p ** (e1 - node.k)
-        elif e1 > node.phi:
-            if node.status == STATUS_HENSEL:
-                # continuation vertex at level k + (e1 - phi), thickness 1
-                total += p ** (node.phi - node.k)
-            elif node.status == STATUS_CYCLE:
-                steps = -((e1 - node.phi) // -node.t)
-                total += p ** (e1 - node.k - steps)
-    return p**t0 * total
+    return p**t0 * sum(p ** (e1 - k) for _, k in _windows(trunk, e1))
 
 
 def ball_decomposition(trunk: Trunk, e: int) -> SolutionSet:
@@ -169,9 +169,8 @@ def ball_decomposition(trunk: Trunk, e: int) -> SolutionSet:
     if e <= t0:
         # p**t0 * P0 vanishes automatically modulo p**e: everything solves
         return SolutionSet(p=p, e=e, balls=[SolutionBall(0, 0)], count=p**e)
-    e1 = e - t0
-    _require_depth(trunk, e1)
-    balls = _window_balls(trunk, e1)
+    balls = sorted((_ball(p, node, k) for node, k in _windows(trunk, e - t0)),
+                   key=lambda b: (b.k, b.r))
     count = sum(p ** (e - ball.k) for ball in balls)
     return SolutionSet(p=p, e=e, balls=balls, count=count)
 
@@ -183,13 +182,7 @@ def enumerate_solutions(trunk: Trunk, e: int, *, budget: int = DEFAULT_BUDGET) -
         raise EnumerationBudgetError(
             f"enumeration too large: {decomposition.count} solutions"
             f" exceed the budget {budget}")
-    p = trunk.p
-    pe = p ** e
-    out: list[int] = []
-    for ball in decomposition.balls:
-        out.extend(range(ball.r, pe, p ** ball.k))
-    out.sort()
-    return out
+    return _members(decomposition)
 
 
 def brute_force(P: Polynomial, m: int, *, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -220,13 +213,10 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
         raise ValueError("n must be at least 2")
     kwargs = {} if max_prime is None else {"max_prime": max_prime}
     factors: list[tuple[PrimePower, SolutionSet]] = []
-    trunks: list[Trunk] = []
     count = 1
     for p, e in factorize(n):
-        trunk = trunk_builder(P, p, e, **kwargs)
-        decomposition = ball_decomposition(trunk, e)
+        decomposition = ball_decomposition(trunk_builder(P, p, e, **kwargs), e)
         factors.append((PrimePower(p, e), decomposition))
-        trunks.append(trunk)
         count *= decomposition.count
 
     if count_only:
@@ -242,8 +232,7 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
     for m in moduli:
         rest = n // m
         basis.append(rest * pow(rest, -1, m) % n)
-    per_factor = [enumerate_solutions(trunk, pp.e, budget=budget)
-                  for trunk, (pp, _) in zip(trunks, factors)]
+    per_factor = [_members(decomposition) for _, decomposition in factors]
     solutions = sorted(
         sum(r * b for r, b in zip(combo, basis)) % n
         for combo in itertools.product(*per_factor))

@@ -25,6 +25,10 @@ STATUS_HENSEL = "hensel-certified"
 STATUS_CYCLE = "cycle-certified"
 STATUS_UNDETERMINED = "undetermined"
 
+#: Branches certified to go on forever past phi, one vertex per level,
+#: each adding the certified vertex's thickness t.
+CERTIFIED = (STATUS_HENSEL, STATUS_CYCLE)
+
 #: Default cap on p for the exhaustive root scan over [0, p).
 DEFAULT_MAX_PRIME = 10**6
 
@@ -168,10 +172,8 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
       * thickness 1 with residual degree 1: "hensel-certified" (a simple
         root whose unique infinite thickness-1 continuation is lifted on
         demand rather than stored);
-      * (successor, thickness) state equal to an ancestor's on the same
-        branch: "cycle-certified" with the repeating digit pattern; one
-        dict holds the states on the current path, and an exit marker on
-        the stack drops each state once its subtree is done;
+      * (successor, thickness) state equal to an ancestor's:
+        "cycle-certified" with the repeating digit pattern;
       * anything still open at max_level: "undetermined".
     """
     if not isinstance(max_level, int) or max_level < 1:
@@ -188,36 +190,30 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     t0, p0 = P.p_content(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0,
                      s=residual_degree(p0, p))
-    path: dict[tuple, TrunkNode] = {}
-    stack: list[TrunkNode | tuple] = [root]
+    # a state repeats only when P0 = u*(a*X - b)**n, whose trunk is a single path
+    expanded: dict[tuple, TrunkNode] = {}
+    stack = [root]
     while stack:
         node = stack.pop()
-        if isinstance(node, tuple):
-            del path[node]
+        if node.s == 0:
+            # successor is a nonzero constant mod p: no roots ever
+            node.status = STATUS_LEAF
+            continue
+        if node.t == 1:
+            # thickness 1 with s = 1: a simple root, infinite by lifting
+            node.status = STATUS_HENSEL
+            node.hensel_root = _linear_root(node.successor, p)
             continue
         state = (node.t, node.successor.coeffs)
-        if node.k > 0:
-            if node.s == 0:
-                # successor is a nonzero constant mod p: no roots ever
-                node.status = STATUS_LEAF
-                continue
-            if node.t == 1:
-                # thickness 1 with s = 1: a simple root, infinite by lifting
-                node.status = STATUS_HENSEL
-                node.hensel_root = _linear_root(node.successor, p)
-                continue
-            match = path.get(state)
-            if match is not None:
-                node.status = STATUS_CYCLE
-                node.period = node.k - match.k
-                node.cycle_digits = tuple(
-                    (node.r // p**q) % p for q in range(match.k, node.k))
-                continue
-            if node.k >= max_level:
-                node.status = STATUS_UNDETERMINED
-                continue
-        elif node.s == 0:
-            node.status = STATUS_LEAF
+        match = expanded.get(state)
+        if match is not None:
+            node.status = STATUS_CYCLE
+            node.period = node.k - match.k
+            node.cycle_digits = tuple(
+                (node.r // p**q) % p for q in range(match.k, node.k))
+            continue
+        if node.k >= max_level:
+            node.status = STATUS_UNDETERMINED
             continue
 
         red = node.successor.reduce_mod(p)
@@ -226,8 +222,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_LEAF
             continue
         node.status = STATUS_EXPANDED
-        path[state] = node
-        stack.append(state)
+        expanded[state] = node
         pk = p ** node.k
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from padic_trunk import build_trunk, parse
 from padic_trunk.cli import main
 
 
@@ -30,6 +31,17 @@ def test_trunk_statuses_in_text(capsys):
     _, out, _ = run_cli(capsys, "trunk", "--poly", "X^2", "--prime", "3",
                         "--max-level", "4")
     assert "cycle-certified(1)" in out
+
+
+def test_trunk_text_deep_branch(capsys):
+    # deeper than the interpreter's recursion limit
+    code, out, err = run_cli(capsys, "trunk", "--poly", "(X^2-17)^2", "--prime", "13",
+                             "--max-level", "1100")
+    assert code == 0 and err == ""
+    trunk = build_trunk(parse("(X^2-17)^2"), 13, 1100)
+    lines = out.splitlines()
+    assert len(lines) == 6 + sum(1 for _ in trunk.iter_nodes())
+    assert lines[-1].endswith("phi=2200 undetermined")
 
 
 def test_trunk_json(capsys):

@@ -1,0 +1,99 @@
+"""Byte-for-byte golden outputs of the CLI.
+
+Each case runs `padic_trunk.cli.main` in-process and compares its exit
+code, stdout and stderr with `golden/cli.json`.  The outputs were
+captured before the solver's window pass and the trunk builder were
+rewritten, so any change in what the CLI prints shows up here.
+`bench` is left out because its output contains timings.
+
+To record the outputs again after a deliberate output change, run
+`PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from padic_trunk.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+
+STEM = "(X^2+3)*(X^2+3*X+9)"
+MIXED = "X^4*(X-1)^3*(X+1)^2"
+OPEN = "(X^2-17)^2"
+
+COMMANDS = {
+    "trunk-text-finite": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5"],
+    "trunk-json-split": ["trunk", "--poly", "X*(X-1)^2+25", "--prime", "5",
+                         "--max-level", "5", "--format", "json"],
+    "trunk-dot-fans": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5",
+                       "--format", "dot", "--with-fans", "4"],
+    "trunk-text-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6"],
+    "trunk-json-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
+                         "--format", "json"],
+    "trunk-dot-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
+                        "--format", "dot"],
+    "trunk-text-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4"],
+    "trunk-json-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4",
+                        "--format", "json"],
+    "trunk-text-mixed": ["trunk", "--poly", MIXED, "--prime", "2", "--max-level", "8"],
+    "trunk-dot-mixed": ["trunk", "--poly", MIXED, "--prime", "2", "--max-level", "8",
+                        "--format", "dot"],
+    "solve-list-text": ["solve", "--poly", "X*(X-1)^2+25", "--prime", "5", "--exp", "3"],
+    "solve-list-json": ["solve", "--poly", "(X-1)*(X-2)+5", "--prime", "5", "--exp", "4",
+                        "--format", "json"],
+    "solve-balls-text": ["solve", "--poly", "X^2", "--prime", "3", "--exp", "7", "--balls"],
+    "solve-balls-json": ["solve", "--poly", MIXED, "--prime", "2", "--exp", "9",
+                         "--balls", "--format", "json"],
+    "solve-count-text": ["solve", "--poly", STEM, "--prime", "3", "--exp", "8",
+                         "--count-only"],
+    "solve-count-json": ["solve", "--poly", "X^2", "--prime", "3", "--exp", "50",
+                         "--count-only", "--format", "json"],
+    "solve-cycle-tail-balls": ["solve", "--poly", "(4X-1)^2", "--prime", "2",
+                               "--exp", "30", "--balls"],
+    "solve-cycle-tail-balls-3": ["solve", "--poly", "(4X-1)^2", "--prime", "3",
+                                 "--exp", "30", "--balls", "--format", "json"],
+    "solve-hensel-tail": ["solve", "--poly", "X*(X-1)^2+25", "--prime", "5",
+                          "--exp", "40"],
+    "solve-exp-zero": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "0"],
+    "solve-modulus-15": ["solve", "--poly", "X^2+11", "--modulus", "15"],
+    "solve-modulus-15-balls": ["solve", "--poly", "X^2+11", "--modulus", "15", "--balls"],
+    "solve-modulus-360": ["solve", "--poly", "X^2-1", "--modulus", "360"],
+    "solve-modulus-360-balls-json": ["solve", "--poly", "X^2-1", "--modulus", "360",
+                                     "--balls", "--format", "json"],
+    "solve-modulus-360-count-json": ["solve", "--poly", "X^3-X", "--modulus", "360",
+                                     "--count-only", "--format", "json"],
+    "classify-text": ["classify", "--poly", "X^2+3*X+9", "--prime", "3"],
+    "classify-json": ["classify", "--poly", "X^2-17", "--prime", "13", "--format", "json"],
+    "poincare-certified": ["poincare", "--poly", "X*(X-1)^2+25", "--prime", "5"],
+    "poincare-cycle-json": ["poincare", "--poly", "X^2", "--prime", "3", "--format", "json"],
+    "poincare-truncated": ["poincare", "--poly", OPEN, "--prime", "13", "--max-level", "5"],
+    "poincare-content": ["poincare", "--poly", "9*(X^2)*(X-1)", "--prime", "3",
+                         "--horizon", "12", "--format", "json"],
+    "error-not-prime": ["solve", "--poly", "X^2+1", "--prime", "4", "--exp", "2"],
+    "error-with-fans": ["trunk", "--poly", "X", "--prime", "3", "--max-level", "2",
+                        "--with-fans", "2"],
+}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_golden(name):
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
+    assert run(COMMANDS[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({name: run(argv) for name, argv in COMMANDS.items()},
+                                 indent=1, ensure_ascii=False, sort_keys=True) + "\n",
+                      encoding="utf-8")

@@ -103,3 +103,23 @@ def test_ast_evaluation_agreement():
         for _ in range(20):
             x = rng.randint(-100, 100)
             assert ast_evaluate(ast, x) == P.evaluate(x)
+
+
+@pytest.mark.parametrize("text,degree", [
+    pytest.param("+".join(f"X^{i}" for i in range(1200)), 1199, id="sum"),
+    pytest.param("*".join(["X"] * 1200), 1200, id="product"),
+    pytest.param("-" * 1200 + "X", 1, id="unary-minus"),
+    pytest.param("X" + "^1" * 1200, 1, id="power-chain"),
+    pytest.param("(" * 100 + "X+1" + ")" * 100, 1, id="deepest-nesting"),
+])
+def test_long_chains_parse_without_recursion(text, degree):
+    P = parse(text)
+    assert P.degree == degree
+    assert ast_evaluate(parse_ast(text), 3) == P.evaluate(3)
+
+
+def test_deep_nesting_is_a_parse_error():
+    text = "(" * 300 + "X" + ")" * 300
+    with pytest.raises(ParseError, match="nested deeper than 100") as info:
+        parse(text)
+    assert info.value.position == 100

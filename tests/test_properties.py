@@ -5,8 +5,10 @@ suite is deterministic and its run time stays fixed.
 """
 
 import re
+from fractions import Fraction
+from math import comb
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padic_trunk import (
@@ -16,7 +18,10 @@ from padic_trunk import (
     brute_force,
     build_trunk,
     count_solutions,
+    crt_solve,
+    enumerate_solutions,
     is_solution,
+    poincare_series,
     val_p,
 )
 from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED
@@ -61,13 +66,17 @@ def trunk_inputs(draw):
     """(P, p): degree <= 5, optional content, often a repeated factor."""
     p = draw(PRIMES)
     linear = Polynomial([draw(small), draw(st.integers(1, 9))])
-    kind = draw(st.sampled_from(["random", "squared", "power"]))
+    kind = draw(st.sampled_from(["random", "squared", "power", "two powers"]))
     if kind == "random":
         P = Polynomial(draw(st.lists(small, min_size=1, max_size=6)))
     elif kind == "squared":
         P = linear**2 * Polynomial(draw(st.lists(small, min_size=1, max_size=4)))
-    else:
+    elif kind == "power":
         P = linear ** draw(st.integers(2, 5)) * draw(st.sampled_from([1, -1, 2, 3]))
+    else:
+        # two roots that agree to a few p-adic digits, then separate
+        other = Polynomial([linear.coeffs[0] + p ** draw(st.integers(1, 4)), linear.coeffs[1]])
+        P = linear ** draw(st.integers(1, 3)) * other ** draw(st.integers(1, 2))
     if P.is_zero:
         P = linear
     return P * p ** draw(st.integers(0, 2)), p
@@ -84,6 +93,23 @@ def _sufficient_trunk(P, p, trunk, e):
     return build_trunk(P, p, level)
 
 
+def _check_level(P, p, trunk, e):
+    """count, balls, membership and enumeration at p**e against brute force."""
+    m = p**e
+    expected = brute_force(P, m)
+    assert count_solutions(trunk, e) == len(expected)
+    decomposition = ball_decomposition(trunk, e)
+    covered = [x for ball in decomposition.balls
+               for x in range(ball.r, m, p**ball.k)]
+    assert sorted(covered) == expected
+    assert decomposition.count == len(expected)
+    assert enumerate_solutions(trunk, e) == expected
+    solutions = set(expected)
+    for x in range(0, m, max(1, m // 200)):
+        assert is_solution(trunk, x, e) == (x in solutions)
+    assert all(is_solution(trunk, x, e) for x in expected[:200])
+
+
 @settings(deterministic, max_examples=120)
 @given(case=trunk_inputs(), max_level=st.integers(1, 6))
 def test_trunk_answers_match_brute_force(case, max_level):
@@ -91,20 +117,62 @@ def test_trunk_answers_match_brute_force(case, max_level):
     trunk = check_trunk(build_trunk(P, p, max_level))
     e = 1
     while p**e <= MAX_MODULUS:
-        m = p**e
-        expected = brute_force(P, m)
-        built = _sufficient_trunk(P, p, trunk, e)
-        assert count_solutions(built, e) == len(expected)
-        decomposition = ball_decomposition(built, e)
-        covered = [x for ball in decomposition.balls
-                   for x in range(ball.r, m, p**ball.k)]
-        assert sorted(covered) == expected
-        assert decomposition.count == len(expected)
-        solutions = set(expected)
-        for x in range(0, m, max(1, m // 200)):
-            assert is_solution(built, x, e) == (x in solutions)
-        assert all(is_solution(built, x, e) for x in expected[:200])
+        _check_level(P, p, _sufficient_trunk(P, p, trunk, e), e)
         e += 1
+
+
+@settings(deterministic, max_examples=120)
+@given(case=trunk_inputs(), max_level=st.integers(1, 4))
+def test_certified_tails_match_brute_force_past_the_built_depth(case, max_level):
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    assume(trunk.fully_resolved)
+    e = 1
+    while e <= 3 * max_level + trunk.t0 and p**e <= MAX_MODULUS:
+        _check_level(P, p, trunk, e)
+        e += 1
+
+
+@settings(deterministic, max_examples=80)
+@given(case=trunk_inputs(), n=st.integers(2, MAX_MODULUS))
+def test_crt_solve_matches_brute_force(case, n):
+    P, _ = case
+    result = crt_solve(P, n)
+    expected = brute_force(P, n)
+    assert result.solutions == expected
+    assert result.count == len(expected)
+
+
+@settings(deterministic, max_examples=100)
+@given(case=trunk_inputs(), max_level=st.integers(1, 6))
+def test_poincare_coefficients_match_counts(case, max_level):
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    series = poincare_series(trunk)
+    horizon = (3 * max_level + trunk.t0 if series.certified
+               else len(series.truncation) - 1)
+    for e, coeff in enumerate(series.expand(horizon)):
+        assert coeff * p**e == count_solutions(trunk, e)
+
+
+def _is_power_of_linear(P):
+    """P = c * (X - y)**n for a rational y."""
+    n = P.degree
+    if n == 0:
+        return True
+    lead = P.coeffs[n]
+    y = Fraction(-P.coeffs[n - 1], n * lead)
+    return all(c == lead * comb(n, i) * (-y) ** (n - i) for i, c in enumerate(P.coeffs))
+
+
+@settings(deterministic, max_examples=200)
+@given(case=trunk_inputs(), max_level=st.integers(1, 14))
+def test_cycles_only_occur_for_powers_of_a_linear_polynomial(case, max_level):
+    # the reason build_trunk may keep every expanded state, not only the path's
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    if any(node.status == STATUS_CYCLE for node in trunk.iter_nodes()):
+        assert _is_power_of_linear(trunk.P0)
 
 
 # ----------------------------------------------------------------------
