@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .polynomial import Polynomial, val_p
 from .primes import is_prime
-from .solver import count_solutions
 from .trunk import (
     CERTIFIED,
     STATUS_CYCLE,
@@ -139,9 +138,19 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
     """
     p, t0 = trunk.p, trunk.t0
     if not trunk.fully_resolved:
-        horizon = t0 + trunk.built_depth
-        coeffs = tuple(Fraction(count_solutions(trunk, e), p**e)
-                       for e in range(horizon + 1))
+        # counts[e] = N_(t0+e) / p**t0 for e up to the built depth, from one
+        # pass adding each vertex's window and certified tail (see solver)
+        depth = trunk.built_depth
+        counts = [1] + [0] * depth
+        for node in trunk.iter_nodes():
+            k, t, phi = node.k, node.t, node.phi
+            for e in range(phi - t + 1, min(phi, depth) + 1):
+                counts[e] += p ** (e - k)
+            if node.status in CERTIFIED:
+                for e in range(phi + 1, depth + 1):
+                    counts[e] += p ** (e - k + (phi - e) // t)
+        coeffs = (Fraction(1),) * t0 + tuple(
+            Fraction(n, p**e) for e, n in enumerate(counts))
         return RationalSeries(numerator=coeffs, denominator=(Fraction(1),),
                               certified=False, truncation=coeffs)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -25,7 +24,6 @@ from .solver import (
     enumerate_solutions,
 )
 from .trunk import (
-    DEFAULT_MAX_PRIME,
     STATUS_CYCLE,
     STATUS_HENSEL,
     STATUS_UNDETERMINED,
@@ -35,7 +33,6 @@ from .trunk import (
 )
 
 SCHEMA_VERSION = "1"
-ENV_MAX_PRIME = "PADIC_TRUNK_MAX_PRIME"
 
 # benchmark rows measure brute force only up to this many candidates
 BENCH_BRUTE_CAP = 10**6
@@ -52,19 +49,6 @@ _BENCH_SUITES = {
         ("X^2", 3),
     ],
 }
-
-
-def _max_prime_from_env() -> int:
-    raw = os.environ.get(ENV_MAX_PRIME)
-    if raw is None:
-        return DEFAULT_MAX_PRIME
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_PRIME} must be an integer, got {raw!r}")
-    if value < 2:
-        raise ValueError(f"{ENV_MAX_PRIME} must be at least 2")
-    return value
 
 
 def _document(command: str, inputs: dict, payload: dict) -> dict:
@@ -202,8 +186,7 @@ def _cmd_trunk(args: argparse.Namespace) -> int:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
     poly = parse(args.poly)
-    trunk = build_trunk(poly, args.prime, args.max_level,
-                        max_prime=args.max_prime)
+    trunk = build_trunk(poly, args.prime, args.max_level)
     if args.format == "text":
         print(_trunk_text(trunk))
     elif args.format == "dot":
@@ -251,7 +234,7 @@ def _balls_text(decomposition) -> list[str]:
 def _solve_prime_power(args: argparse.Namespace) -> int:
     poly = parse(args.poly)
     p, e = args.prime, args.exp
-    trunk = build_trunk(poly, p, max(e, 1), max_prime=args.max_prime)
+    trunk = build_trunk(poly, p, max(e, 1))
     count = count_solutions(trunk, e)
     decomposition = ball_decomposition(trunk, e) if args.balls and e >= 1 else None
     solutions = None
@@ -288,8 +271,7 @@ def _solve_prime_power(args: argparse.Namespace) -> int:
 
 def _solve_modulus(args: argparse.Namespace) -> int:
     poly = parse(args.poly)
-    result = crt_solve(poly, args.modulus, count_only=args.count_only,
-                       max_prime=args.max_prime)
+    result = crt_solve(poly, args.modulus, count_only=args.count_only)
     factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
     if args.format == "text":
         print(f"modulus: {args.modulus} = {factored}")
@@ -379,8 +361,7 @@ def _u_poly_str(coeffs) -> str:
 
 def _cmd_poincare(args: argparse.Namespace) -> int:
     poly = parse(args.poly)
-    trunk = build_trunk(poly, args.prime, args.max_level,
-                        max_prime=args.max_prime)
+    trunk = build_trunk(poly, args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
         horizon = args.horizon if args.horizon is not None \
@@ -429,13 +410,13 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
 # bench
 # ----------------------------------------------------------------------
 
-def _bench_rows(suite: str, max_exp: int, max_prime: int) -> list[dict]:
+def _bench_rows(suite: str, max_exp: int) -> list[dict]:
     rows = []
     for text, p in _BENCH_SUITES[suite]:
         poly = parse(text)
         for e in range(1, max_exp + 1):
             start = time.perf_counter()
-            trunk = build_trunk(poly, p, e, max_prime=max_prime)
+            trunk = build_trunk(poly, p, e)
             count = count_solutions(trunk, e)
             trunk_ms = (time.perf_counter() - start) * 1000
             balls = len(ball_decomposition(trunk, e).balls)
@@ -461,7 +442,7 @@ def _bench_rows(suite: str, max_exp: int, max_prime: int) -> list[dict]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = _bench_rows(args.suite, args.max_exp, args.max_prime)
+    rows = _bench_rows(args.suite, args.max_exp)
     if args.format == "text":
         print(f"suite: {args.suite}   max exponent: {args.max_exp}"
               f"   brute-force cap: {BENCH_BRUTE_CAP}")
@@ -560,7 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
-        args.max_prime = _max_prime_from_env()
         return args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

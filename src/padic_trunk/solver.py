@@ -200,8 +200,7 @@ def brute_force(P: Polynomial, m: int, *, budget: int = DEFAULT_BUDGET) -> list[
 
 
 def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
-              budget: int = DEFAULT_BUDGET, max_prime: int | None = None,
-              trunk_builder=build_trunk) -> CrtSolution:
+              budget: int = DEFAULT_BUDGET, trunk_builder=build_trunk) -> CrtSolution:
     """Solve P(x) = 0 (mod n) for composite n.
 
     Factors n, solves each prime-power congruence through the trunk
@@ -211,11 +210,10 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    kwargs = {} if max_prime is None else {"max_prime": max_prime}
     factors: list[tuple[PrimePower, SolutionSet]] = []
     count = 1
     for p, e in factorize(n):
-        decomposition = ball_decomposition(trunk_builder(P, p, e, **kwargs), e)
+        decomposition = ball_decomposition(trunk_builder(P, p, e), e)
         factors.append((PrimePower(p, e), decomposition))
         count *= decomposition.count
 

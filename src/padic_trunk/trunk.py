@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, roots_mod_p
 from .primes import is_prime
 
 STATUS_EXPANDED = "expanded"
@@ -28,10 +28,6 @@ STATUS_UNDETERMINED = "undetermined"
 #: Branches certified to go on forever past phi, one vertex per level,
 #: each adding the certified vertex's thickness t.
 CERTIFIED = (STATUS_HENSEL, STATUS_CYCLE)
-
-#: Default cap on p for the exhaustive root scan over [0, p).
-DEFAULT_MAX_PRIME = 10**6
-
 
 class NotSimpleRootError(ValueError):
     """hensel_lift was handed a root whose derivative vanishes mod p."""
@@ -159,13 +155,13 @@ def _linear_root(Q: Polynomial, p: int) -> int:
     return (-b * pow(a, -1, p)) % p
 
 
-def build_trunk(P: Polynomial, p: int, max_level: int, *,
-                max_prime: int = DEFAULT_MAX_PRIME) -> Trunk:
+def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
     """Build the trunk of P for the prime p down to level max_level.
 
-    Per level, roots of the current successor modulo p are found by
-    exhaustive scan over [0, p) (hence the cap on p), and each root gets
-    a child carrying its thickness, successor and residual degree.
+    Per level, the roots of the current successor modulo p come from
+    roots_mod_p, in about deg(P)**2 * log p operations mod p, and each
+    root gets a child carrying its thickness, successor and residual
+    degree.
 
     Branch endings:
       * residual degree 0, or no mod-p roots of the successor: "leaf";
@@ -182,10 +178,6 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
         raise ValueError("cannot build a trunk for the zero polynomial")
     if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > max_prime:
-        raise ValueError(
-            f"prime {p} exceeds the exhaustive-search cap {max_prime}"
-            " (raise max_prime to override)")
 
     t0, p0 = P.p_content(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0,
@@ -216,8 +208,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_UNDETERMINED
             continue
 
-        red = node.successor.reduce_mod(p)
-        roots = [x for x in range(p) if red.evaluate(x, p) == 0]
+        roots = roots_mod_p(node.successor, p)
         if not roots:
             node.status = STATUS_LEAF
             continue

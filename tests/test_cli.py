@@ -256,23 +256,23 @@ def test_usage_errors_from_argparse(capsys):
     assert captured.out == ""
 
 
-def test_env_var_overrides_prime_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PADIC_TRUNK_MAX_PRIME", "10")
-    code, out, err = run_cli(capsys, "solve", "--poly", "X",
-                             "--prime", "13", "--exp", "2")
-    assert code == 1
-    assert "exceeds the exhaustive-search cap 10" in err
+def test_primes_above_a_million_answer(capsys):
+    q = 2**61 - 1
+    code, out, err = run_cli(capsys, "solve", "--poly", "X^2-1",
+                             "--prime", str(q), "--exp", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["count: 2", f"solutions: 1 {q**2 - 1}"]
 
-    monkeypatch.setenv("PADIC_TRUNK_MAX_PRIME", "2000003")
-    code, out, err = run_cli(capsys, "solve", "--poly", "X",
-                             "--prime", "2000003", "--exp", "1", "--count-only")
-    assert code == 0
-    assert "count: 1" in out
+    code, out, err = run_cli(capsys, "trunk", "--poly", "X^2-1",
+                             "--prime", str(q), "--max-level", "2")
+    assert code == 0 and err == ""
+    assert out.count("hensel-certified") == 2
 
-    monkeypatch.setenv("PADIC_TRUNK_MAX_PRIME", "junk")
-    code, out, err = run_cli(capsys, "solve", "--poly", "X",
-                             "--prime", "3", "--exp", "1")
-    assert code == 1 and "must be an integer" in err
+    code, out, err = run_cli(capsys, "solve", "--poly", "X^2-1",
+                             "--modulus", str(6 * q), "--count-only")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [f"modulus: {6 * q} = 2^1 * 3^1 * {q}^1",
+                                "count: 4"]
 
 
 def test_console_entry_point():

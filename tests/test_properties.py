@@ -24,6 +24,7 @@ from padic_trunk import (
     poincare_series,
     val_p,
 )
+from padic_trunk.polynomial import ROOT_SCAN_LIMIT, _roots_by_gcd, roots_mod_p
 from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED
 
 from invariants import check_trunk
@@ -155,6 +156,19 @@ def test_poincare_coefficients_match_counts(case, max_level):
         assert coeff * p**e == count_solutions(trunk, e)
 
 
+@settings(deterministic, max_examples=100)
+@given(case=trunk_inputs(), max_level=st.integers(1, 30))
+def test_truncated_series_matches_counts_level_by_level(case, max_level):
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    assume(not trunk.fully_resolved)
+    series = poincare_series(trunk)
+    assert not series.certified
+    assert series.truncation == tuple(
+        Fraction(count_solutions(trunk, e), p**e)
+        for e in range(trunk.t0 + max_level + 1))
+
+
 def _is_power_of_linear(P):
     """P = c * (X - y)**n for a rational y."""
     n = P.degree
@@ -206,3 +220,130 @@ def test_cycle_period_is_distance_to_nearest_equal_state(case, max_level):
                 (node.r // p**q) % p for q in range(match.k, node.k))
         else:
             assert not equal
+
+
+# ----------------------------------------------------------------------
+# roots modulo p against the [0, p) scan
+# ----------------------------------------------------------------------
+
+#: primes on both sides of ROOT_SCAN_LIMIT, up to about 10**4
+ROOT_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 101, 241, 251, 257, 263, 1009, 7919, 10007])
+assert 251 < ROOT_SCAN_LIMIT <= 257
+
+
+def _scan_roots(Q, p):
+    red = Q.reduce_mod(p)
+    return [x for x in range(p) if red.evaluate(x, p) == 0]
+
+
+def _rootless_quadratic(p, a):
+    """(X + a)**2 - n with n a non-square mod p; (X + a)**2 + (X + a) + 1 when p = 2."""
+    if p == 2:
+        return Polynomial([a * a + a + 1, 2 * a + 1, 1])
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    return Polynomial([a * a - n, 2 * a, 1])
+
+
+@st.composite
+def mod_p_inputs(draw):
+    """(Q, p) with Q mod p of degree >= 1: random, split, repeated, field or rootless."""
+    p = draw(ROOT_PRIMES)
+    residues = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["random", "split", "repeated", "field", "rootless"]))
+    Q = Polynomial([draw(st.integers(1, p - 1))])
+    if kind == "random":
+        Q = Polynomial(draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=9)))
+    elif kind == "split":
+        # many distinct linear factors, so that splitting has to recurse
+        roots = draw(st.lists(residues, min_size=1, max_size=min(p, 12), unique=True))
+        for r in roots:
+            Q = Q * Polynomial([-r, 1])
+    elif kind == "repeated":
+        for r in draw(st.lists(residues, min_size=1, max_size=4)):
+            Q = Q * Polynomial([-r, 1]) ** draw(st.integers(1, 3))
+    elif kind == "field":
+        # divisible by X**p - X, so every residue is a root (p <= deg Q)
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        Q = Polynomial([0, -1] + [0] * (p - 2) + [1]) * Polynomial(
+            draw(st.lists(st.integers(-9, 9), min_size=1, max_size=3)))
+    else:
+        for a in draw(st.lists(residues, min_size=1, max_size=3)):
+            Q = Q * _rootless_quadratic(p, a)
+    # integer lifts of the residues, as successors carry them
+    Q = Q + p * Polynomial(draw(st.lists(st.integers(-50, 50), max_size=len(Q.coeffs))))
+    red = Q.reduce_mod(p)
+    assume(not red.is_zero and red.degree >= 1)
+    return Q, p, kind
+
+
+@settings(deterministic, max_examples=400)
+@given(case=mod_p_inputs())
+def test_roots_mod_p_match_the_scan(case):
+    Q, p, kind = case
+    expected = _scan_roots(Q, p)
+    assert roots_mod_p(Q, p) == expected
+    # the gcd path on its own, below the crossover too
+    assert _roots_by_gcd(Q.reduce_mod(p), p) == expected
+    if kind == "field":
+        assert expected == list(range(p))
+    if kind == "rootless":
+        assert expected == []
+
+
+def _rem(a, f, p):
+    """a mod f over F_p with schoolbook division; lists in ascending order."""
+    a = [c % p for c in a]
+    inv = pow(f[-1], -1, p)
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(f):
+            return a
+        c = a[-1] * inv % p
+        shift = len(a) - len(f)
+        for i, fc in enumerate(f):
+            a[shift + i] = (a[shift + i] - c * fc) % p
+
+
+def _distinct_root_count(f, p):
+    """deg gcd(f, X**p - X) over F_p, by square-and-multiply and Euclid."""
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _rem(out, f, p)
+
+    power, base, n = [1], [0, 1], p
+    while n:
+        if n & 1:
+            power = mulmod(power, base)
+        base = mulmod(base, base)
+        n >>= 1
+    power = power + [0] * (2 - len(power))
+    power[1] -= 1
+    a, b = f, _rem(power, f, p)
+    while b:
+        a, b = b, _rem(a, b, p)
+    return len(a) - 1
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@settings(deterministic, max_examples=60)
+@given(coeffs=st.lists(st.integers(-10**20, 10**20), min_size=2, max_size=8),
+       roots=st.lists(st.integers(0, MERSENNE_61 - 1), max_size=4))
+def test_roots_mod_a_61_bit_prime(coeffs, roots):
+    q = MERSENNE_61
+    Q = Polynomial(coeffs)
+    for r in roots:
+        Q = Q * Polynomial([-r, 1])
+    red = Q.reduce_mod(q)
+    assume(not red.is_zero and red.degree >= 1)
+    found = roots_mod_p(Q, q)
+    assert all(Q.evaluate(x, q) == 0 for x in found)
+    assert set(r % q for r in roots) <= set(found)
+    assert len(found) == _distinct_root_count(list(red.coeffs), q)
+    assert found == sorted(set(found))
+    assert roots_mod_p(Q, q) == found

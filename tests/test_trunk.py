@@ -224,10 +224,8 @@ def test_build_trunk_errors():
         build_trunk(X, 6, 2)
     with pytest.raises(ValueError, match="max_level"):
         build_trunk(X, 3, 0)
-    with pytest.raises(ValueError, match="exceeds the exhaustive-search cap"):
-        build_trunk(X, 1_000_003, 2, max_prime=10**6)
-    # the cap is adjustable
-    trunk = build_trunk(X, 1_000_003, 2, max_prime=10**7)
+    # no cap on p: roots mod p come from gcd(Q, X^p - X), not a scan
+    trunk = build_trunk(X, 1_000_003, 2)
     assert [n.status for n in trunk.iter_nodes()] == [STATUS_HENSEL]
 
 
