@@ -1,11 +1,12 @@
 """Generating functions and the degree-two trunk classification.
 
 The counts N_e assemble into the series S(u) = sum N_e * (u/p)**e with
-N_0 = 1.  When every trunk branch is finished or certified infinite, the
-series is an exact rational function: each vertex contributes a finite
-block for its level window, and each certified infinite branch adds a
-geometric tail whose denominator factor is (1 - u**t / p) for its
-constant continuation thickness t.
+N_0 = 1.  In the variable w = u/p every coefficient is the integer N_e,
+so the series is built with integer polynomial algebra in w: each
+vertex contributes its level window, and each certified infinite branch
+a geometric tail over 1 - p**(t-1) * w**t, which is (1 - u**t / p) for
+its constant continuation thickness t.  When every trunk branch is
+finished or certified infinite, that rational function is S(u) exactly.
 """
 
 from __future__ import annotations
@@ -30,73 +31,32 @@ K2 = "K2"
 KINF = "Kinf"
 
 
-# ----------------------------------------------------------------------
-# small helpers for polynomials in u with exact rational coefficients
-# ----------------------------------------------------------------------
+def _series_quotient(num, den, horizon: int) -> list:
+    """Power-series coefficients 0..horizon of num / den, for den[0] == 1.
 
-def _trim(cs: list[Fraction]) -> list[Fraction]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _trim(out)
-
-
-def _div_exact(num: list[Fraction], f: list[Fraction]) -> list[Fraction] | None:
-    """Quotient num / f when the division is exact, else None."""
-    if not num:
-        return []
-    if len(num) < len(f):
-        return None
-    rem = list(num)
-    quot = [Fraction(0)] * (len(num) - len(f) + 1)
-    lead = f[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + len(f) - 1] / lead
-        quot[i] = c
-        if c:
-            for j, fc in enumerate(f):
-                rem[i + j] -= c * fc
-    if any(rem):
-        return None
-    return _trim(quot)
-
-
-def _series_quotient(num: tuple[Fraction, ...], den: tuple[Fraction, ...],
-                     horizon: int) -> list[Fraction]:
-    # den[0] is 1 by construction
-    coeffs: list[Fraction] = []
+    There is no division, so int inputs give ints and Fractions give
+    Fractions.
+    """
+    coeffs = []
     for i in range(horizon + 1):
-        acc = num[i] if i < len(num) else Fraction(0)
+        acc = num[i] if i < len(num) else 0
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * coeffs[i - j]
-        coeffs.append(acc / den[0])
+        coeffs.append(acc)
     return coeffs
 
 
-def _factor_poly(key: tuple[int, int], p: int) -> list[Fraction]:
-    # the denominator factor 1 - u**a / p**b
-    a, b = key
-    return [Fraction(1)] + [Fraction(0)] * (a - 1) + [Fraction(-1, p**b)]
+def _div_exact(num: Polynomial, f: Polynomial) -> Polynomial | None:
+    """num / f when f (constant term 1) divides num exactly, else None."""
+    if num.degree < f.degree:
+        return None
+    quotient = Polynomial(_series_quotient(num.coeffs, f.coeffs, num.degree - f.degree))
+    return quotient if quotient * f == num else None
+
+
+def _to_u(coeffs, p: int) -> tuple[Fraction, ...]:
+    # the coefficient of w**e is the coefficient of u**e times p**e
+    return tuple(Fraction(c, p**e) for e, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -126,80 +86,82 @@ class RationalSeries:
                     "series is only known up to its truncation;"
                     " rebuild the trunk deeper for more coefficients")
             return list(self.truncation[:horizon + 1])
-        return _series_quotient(self.numerator, self.denominator, horizon)
+        return [Fraction(c) for c in
+                _series_quotient(self.numerator, self.denominator, horizon)]
 
 
 def poincare_series(trunk: Trunk) -> RationalSeries:
-    """Exact closed form of S(u) when the trunk is fully resolved.
+    """S(u) from one pass over the trunk, in integer algebra in w = u/p.
 
-    With undetermined branches the result falls back to a truncated
-    coefficient list (never an error); the truncation horizon is the
-    built depth, which every open branch is guaranteed to cover.
+    At level e a vertex accounts for the p**(e-j) solutions of one ball
+    modulo p**j, j = k + ceil((e - phi) / t) (the solver's rule): j = k
+    on its window phi-t < e <= phi, and on a certified tail one level
+    deeper for each further t levels.  Each period of a tail is the one
+    before times p**(t-1) * w**t, so the tail is its first period,
+    phi < e <= phi+t, over 1 - p**(t-1) * w**t.  The terms are summed
+    into one integer list per denominator and combined over the common
+    denominator, and the factors that divide the numerator are cancelled.
+
+    When the trunk has undetermined branches the result is a truncated
+    coefficient list (never an error): the same rational function
+    expanded to the built depth, which every open branch is guaranteed
+    to cover.
     """
     p, t0 = trunk.p, trunk.t0
-    if not trunk.fully_resolved:
-        # counts[e] = N_(t0+e) / p**t0 for e up to the built depth, from one
-        # pass adding each vertex's window and certified tail (see solver)
-        depth = trunk.built_depth
-        counts = [1] + [0] * depth
-        for node in trunk.iter_nodes():
-            k, t, phi = node.k, node.t, node.phi
-            for e in range(phi - t + 1, min(phi, depth) + 1):
-                counts[e] += p ** (e - k)
-            if node.status in CERTIFIED:
-                for e in range(phi + 1, depth + 1):
-                    counts[e] += p ** (e - k + (phi - e) // t)
-        coeffs = (Fraction(1),) * t0 + tuple(
-            Fraction(n, p**e) for e, n in enumerate(counts))
-        return RationalSeries(numerator=coeffs, denominator=(Fraction(1),),
-                              certified=False, truncation=coeffs)
-
-    terms: list[tuple[list[Fraction], tuple[int, int] | None]] = [([Fraction(1)], None)]
+    # sums[0] = 1 plus every window; sums[t] = the tails of thickness t
+    sums: dict[int, list[int]] = {0: [1]}
+    powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
+    certified = True
     for node in trunk.iter_nodes():
         k, t, phi = node.k, node.t, node.phi
-        # window block: p**(e-k) solutions at each level phi-t < e <= phi
-        block = [Fraction(0)] * (phi - t + 1) + [Fraction(1, p**k)] * t
-        terms.append((block, None))
-        if node.status in CERTIFIED:
-            # geometric tail: one vertex per level beyond, thickness t each,
-            # summing to u**(phi+1) (1 + ... + u**(t-1)) / p**(k+1) / (1 - u**t/p)
-            tail = [Fraction(0)] * (phi + 1) + [Fraction(1, p**(k + 1))] * t
-            terms.append((tail, (t, 1)))
+        last = phi + t if node.status in CERTIFIED else phi
+        certified = certified and node.status != STATUS_UNDETERMINED
+        while len(powers) <= last - k:
+            powers.append(powers[-1] * p)
+        for e in range(phi - t + 1, last + 1):
+            coeffs = sums.setdefault(t if e > phi else 0, [])
+            coeffs.extend([0] * (e + 1 - len(coeffs)))
+            # p**(e - j) for the ball level j = k + ceil((e - phi) / t)
+            coeffs[e] += powers[e - k + (phi - e) // t]
 
-    keys = sorted({key for _, key in terms if key is not None})
-    factor_polys = {key: _factor_poly(key, p) for key in keys}
-    numerator: list[Fraction] = []
-    for block, key in terms:
-        for other in keys:
-            if other != key:
-                block = _mul(block, factor_polys[other])
-        numerator = _add(numerator, block)
+    factors = {t: Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
+               for t in sorted(sums) if t}
+    numerator = Polynomial()
+    for key, coeffs in sums.items():
+        term = Polynomial(coeffs)
+        for t, factor in factors.items():
+            if t != key:
+                term = term * factor
+        numerator = numerator + term
 
-    remaining = list(keys)
-    cancelled = True
-    while cancelled:
-        cancelled = False
-        for key in list(remaining):
-            quotient = _div_exact(numerator, factor_polys[key])
-            if quotient is not None:
-                numerator = quotient
-                remaining.remove(key)
-                cancelled = True
-    denominator = [Fraction(1)]
-    for key in remaining:
-        denominator = _mul(denominator, factor_polys[key])
+    # p - u**t is Eisenstein at p, so the factors are irreducible and
+    # pairwise coprime: one division attempt per factor settles it
+    denominator = Polynomial([1])
+    kept: list[tuple[int, int]] = []
+    for t, factor in factors.items():
+        quotient = _div_exact(numerator, factor)
+        if quotient is None:
+            denominator = denominator * factor
+            kept.append((t, 1))
+        else:
+            numerator = quotient
 
     if t0:
-        # p**t0 * P0 solves every level e < t0 outright:
-        # S(u) = 1 + u + ... + u**(t0-1) + u**t0 * S0(u)
-        head = [Fraction(1)] * t0
-        numerator = _add(_mul(head, denominator),
-                         [Fraction(0)] * t0 + numerator)
+        # p**t0 * P0 solves every level e < t0 outright and N_(t0+e) is
+        # p**t0 times the count for P0:  S = sum_(e<t0) u**e + u**t0 * S0,
+        # where u**e = p**e * w**e
+        head = Polynomial([p**e for e in range(t0)])
+        numerator = head * denominator + numerator * Polynomial([0] * t0 + [p**t0])
 
-    return RationalSeries(numerator=tuple(numerator),
-                          denominator=tuple(denominator),
+    if not certified:
+        coeffs = _to_u(_series_quotient(numerator.coeffs, denominator.coeffs,
+                                        t0 + trunk.built_depth), p)
+        return RationalSeries(numerator=coeffs, denominator=(Fraction(1),),
+                              certified=False, truncation=coeffs)
+    return RationalSeries(numerator=_to_u(numerator.coeffs, p),
+                          denominator=_to_u(denominator.coeffs, p),
                           certified=True,
-                          denominator_factors=tuple(remaining))
+                          denominator_factors=tuple(kept))
 
 
 # ----------------------------------------------------------------------

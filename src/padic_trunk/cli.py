@@ -1,4 +1,4 @@
-"""Command-line interface: trunk, solve, classify, poincare, bench.
+"""Command-line interface: trunk, solve, classify, poincare.
 
 Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
-from .polynomial import poly_to_str
+from .polynomial import _render_terms, poly_to_str
 from .solver import (
     ball_decomposition,
-    brute_force,
     count_solutions,
     crt_solve,
     enumerate_solutions,
@@ -33,22 +31,6 @@ from .trunk import (
 )
 
 SCHEMA_VERSION = "1"
-
-# benchmark rows measure brute force only up to this many candidates
-BENCH_BRUTE_CAP = 10**6
-
-_BENCH_SUITES = {
-    "default": [
-        ("(X^2+3)*(X^2+3*X+9)", 3),
-        ("X*(X-1)^2+25", 5),
-        ("X^2", 3),
-        ("(X-1)^2+3^5", 3),
-        ("(X-1)*(X-2)+5", 5),
-    ],
-    "x2": [
-        ("X^2", 3),
-    ],
-}
 
 
 def _document(command: str, inputs: dict, payload: dict) -> dict:
@@ -339,26 +321,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # poincare
 # ----------------------------------------------------------------------
 
-def _u_poly_str(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            term = str(mag)
-        else:
-            power = "u" if i == 1 else f"u^{i}"
-            term = power if mag == 1 else f"{mag}*{power}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
-
-
 def _cmd_poincare(args: argparse.Namespace) -> int:
     poly = parse(args.poly)
     trunk = build_trunk(poly, args.prime, args.max_level)
@@ -366,6 +328,9 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
     if series.certified:
         horizon = args.horizon if args.horizon is not None \
             else max(10, trunk.built_depth)
+        # series in u list their terms in ascending powers
+        numerator = _render_terms(enumerate(series.numerator), "u")
+        denominator = _render_terms(enumerate(series.denominator), "u")
     else:
         available = len(series.truncation) - 1
         horizon = available if args.horizon is None \
@@ -376,8 +341,7 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(f"certified: {'true' if series.certified else 'false'}")
         if series.certified:
-            print(f"S(u) = ({_u_poly_str(series.numerator)})"
-                  f" / ({_u_poly_str(series.denominator)})")
+            print(f"S(u) = ({numerator}) / ({denominator})")
         else:
             print("closed form not certified; partial coefficients only")
         print(f"coefficients N_e/p^e (e = 0..{horizon}): "
@@ -392,8 +356,8 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
             "counts": [str(c) for c in counts],
         }
         if series.certified:
-            payload["numerator"] = _u_poly_str(series.numerator)
-            payload["denominator"] = _u_poly_str(series.denominator)
+            payload["numerator"] = numerator
+            payload["denominator"] = denominator
             payload["denominator_factors"] = [
                 {"a": str(a), "b": str(b)}
                 for a, b in series.denominator_factors
@@ -402,79 +366,6 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
             "poly": args.poly,
             "prime": str(args.prime),
             "max_level": str(args.max_level),
-        }, payload))
-    return 0
-
-
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-
-def _bench_rows(suite: str, max_exp: int) -> list[dict]:
-    rows = []
-    for text, p in _BENCH_SUITES[suite]:
-        poly = parse(text)
-        for e in range(1, max_exp + 1):
-            start = time.perf_counter()
-            trunk = build_trunk(poly, p, e)
-            count = count_solutions(trunk, e)
-            trunk_ms = (time.perf_counter() - start) * 1000
-            balls = len(ball_decomposition(trunk, e).balls)
-            brute_ms = None
-            if p ** e <= BENCH_BRUTE_CAP:
-                start = time.perf_counter()
-                found = brute_force(poly, p ** e, budget=BENCH_BRUTE_CAP)
-                brute_ms = (time.perf_counter() - start) * 1000
-                if len(found) != count:
-                    raise RuntimeError(
-                        f"trunk/brute-force disagreement for {text} at {p}^{e}:"
-                        f" {count} vs {len(found)}")
-            rows.append({
-                "poly": text,
-                "p": p,
-                "e": e,
-                "count": count,
-                "balls": balls,
-                "trunk_ms": round(trunk_ms, 3),
-                "brute_ms": None if brute_ms is None else round(brute_ms, 3),
-            })
-    return rows
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = _bench_rows(args.suite, args.max_exp)
-    if args.format == "text":
-        print(f"suite: {args.suite}   max exponent: {args.max_exp}"
-              f"   brute-force cap: {BENCH_BRUTE_CAP}")
-        header = (f"{'poly':<28} {'p':>3} {'e':>3} {'N_e':>12} {'balls':>5} "
-                  f"{'trunk_ms':>10} {'brute_ms':>10}")
-        print(header)
-        for row in rows:
-            brute = "-" if row["brute_ms"] is None else f"{row['brute_ms']:.3f}"
-            print(f"{row['poly']:<28} {row['p']:>3} {row['e']:>3} "
-                  f"{row['count']:>12} {row['balls']:>5} "
-                  f"{row['trunk_ms']:>10.3f} {brute:>10}")
-    else:
-        payload = {
-            "suite": args.suite,
-            "max_exp": str(args.max_exp),
-            "brute_cap": str(BENCH_BRUTE_CAP),
-            "rows": [
-                {
-                    "poly": row["poly"],
-                    "p": str(row["p"]),
-                    "e": str(row["e"]),
-                    "count": str(row["count"]),
-                    "balls": str(row["balls"]),
-                    "trunk_ms": row["trunk_ms"],
-                    "brute_ms": row["brute_ms"],
-                }
-                for row in rows
-            ],
-        }
-        _emit_json(_document("bench", {
-            "suite": args.suite,
-            "max_exp": str(args.max_exp),
         }, payload))
     return 0
 
@@ -526,11 +417,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     poincare_p.add_argument("--format", choices=("text", "json"), default="text")
     poincare_p.set_defaults(handler=_cmd_poincare)
 
-    bench_p = sub.add_parser("bench", help="trunk counting vs brute force timings")
-    bench_p.add_argument("--suite", choices=sorted(_BENCH_SUITES), default="default")
-    bench_p.add_argument("--max-exp", required=True, type=int)
-    bench_p.add_argument("--format", choices=("text", "json"), default="text")
-    bench_p.set_defaults(handler=_cmd_bench)
     return parser
 
 

@@ -368,11 +368,16 @@ def poly_to_str(P: Polynomial, variable: str = "X") -> str:
 
     Inverse of the expression parser: parsing the output reproduces P.
     """
-    if P.is_zero:
-        return "0"
+    return _render_terms(reversed(list(enumerate(P.coeffs))), variable)
+
+
+def _render_terms(terms: Iterable[tuple[int, object]], variable: str) -> str:
+    """Render (power, coefficient) pairs in display order; "0" when all vanish.
+
+    Coefficients may be ints or Fractions; a unit magnitude is left off.
+    """
     parts: list[str] = []
-    for i in range(P.degree, -1, -1):
-        c = P.coeffs[i]
+    for i, c in terms:
         if c == 0:
             continue
         mag = abs(c)
@@ -385,4 +390,4 @@ def poly_to_str(P: Polynomial, variable: str = "X") -> str:
             parts.append(term if c > 0 else f"-{term}")
         else:
             parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"

@@ -200,31 +200,6 @@ def test_poincare_fallback(capsys):
 
 
 # ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-
-def test_bench_x2_counts(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--suite", "x2", "--max-exp", "12")
-    assert code == 0
-    counts = [int(line.split()[3]) for line in out.splitlines()[2:]]
-    assert counts == [3 ** (e // 2) for e in range(1, 13)]
-
-
-def test_bench_empty(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--suite", "default", "--max-exp", "0")
-    assert code == 0
-    assert len(out.splitlines()) == 2  # banner and header only
-
-
-def test_bench_json(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--suite", "x2", "--max-exp", "3",
-                           "--format", "json")
-    rows = json.loads(out)["payload"]["rows"]
-    assert [r["count"] for r in rows] == ["1", "3", "3"]
-    assert all(r["trunk_ms"] >= 0 for r in rows)
-
-
-# ----------------------------------------------------------------------
 # error paths
 # ----------------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 Each case runs `padic_trunk.cli.main` in-process and compares its exit
 code, stdout and stderr with `golden/cli.json`.  The outputs were
 captured before the solver's window pass and the trunk builder were
-rewritten, so any change in what the CLI prints shows up here.
-`bench` is left out because its output contains timings.
+rewritten, so any change in what the CLI prints shows up here.  The
+two cases `poincare-content-cycle-json` and `poincare-open-hensel` were
+added before `poincare_series` moved to integer algebra in u/p.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -73,6 +74,10 @@ COMMANDS = {
     "poincare-truncated": ["poincare", "--poly", OPEN, "--prime", "13", "--max-level", "5"],
     "poincare-content": ["poincare", "--poly", "9*(X^2)*(X-1)", "--prime", "3",
                          "--horizon", "12", "--format", "json"],
+    "poincare-content-cycle-json": ["poincare", "--poly", "9*X^2", "--prime", "3",
+                                    "--format", "json"],
+    "poincare-open-hensel": ["poincare", "--poly", "(X^2-17)^2*(X-3)", "--prime", "13",
+                             "--max-level", "6", "--horizon", "4"],
     "error-not-prime": ["solve", "--poly", "X^2+1", "--prime", "4", "--exp", "2"],
     "error-with-fans": ["trunk", "--poly", "X", "--prime", "3", "--max-level", "2",
                         "--with-fans", "2"],

@@ -161,6 +161,16 @@ def test_brute_force_examples():
     assert brute_force(Polynomial(), 4) == [0, 1, 2, 3]
 
 
+def test_counts_match_brute_force_on_fixture_trunks(fixture_trunks):
+    # every fixture trunk at every level it is built to, up to 10^6 candidates
+    for text, p, trunk in fixture_trunks:
+        P = parse(text)
+        for e in range(trunk.built_depth + 1):
+            if p**e <= 10**6:
+                assert count_solutions(trunk, e) == len(brute_force(P, p**e, budget=10**6)), \
+                    (text, p, e)
+
+
 def test_brute_force_budget():
     with pytest.raises(EnumerationBudgetError):
         brute_force(X, 10**8)
