@@ -105,17 +105,19 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
     When the trunk has undetermined branches the result is a truncated
     coefficient list (never an error): the same rational function
     expanded to the built depth, which every open branch is guaranteed
-    to cover.
+    to cover.  Its windows are clipped at the built depth, since terms
+    past it only reach coefficients past the truncation.
     """
     p, t0 = trunk.p, trunk.t0
+    certified = trunk.fully_resolved
     # sums[0] = 1 plus every window; sums[t] = the tails of thickness t
     sums: dict[int, list[int]] = {0: [1]}
     powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
-    certified = True
     for node in trunk.iter_nodes():
         k, t, phi = node.k, node.t, node.phi
         last = phi + t if node.status in CERTIFIED else phi
-        certified = certified and node.status != STATUS_UNDETERMINED
+        if not certified:
+            last = min(last, trunk.built_depth)
         while len(powers) <= last - k:
             powers.append(powers[-1] * p)
         for e in range(phi - t + 1, last + 1):

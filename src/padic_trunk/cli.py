@@ -2,15 +2,20 @@
 
 Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
-values survive any JSON consumer.  Diagnostics go to stderr with a
-nonzero exit code; structured output is never emitted on error paths.
+values survive any JSON consumer.  Each command computes its answer,
+then renders the whole output before anything is printed, with
+CPython's limit on int-to-str digits lifted while it renders (parsing
+keeps the limit).  Diagnostics go to stderr with a nonzero exit code;
+no output is emitted on error paths.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from typing import Callable
 
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
@@ -33,17 +38,22 @@ from .trunk import (
 SCHEMA_VERSION = "1"
 
 
-def _document(command: str, inputs: dict, payload: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input": inputs,
-        "payload": payload,
-    }
+def _json(command: str, inputs: dict, payload: dict) -> str:
+    doc = {"schema_version": SCHEMA_VERSION, "command": command,
+           "input": inputs, "payload": payload}
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the int-to-str digit limit of CPython 3.11+ for the block."""
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(old)
 
 
 def _status_tag(node: TrunkNode) -> str:
@@ -164,16 +174,16 @@ def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trunk(args: argparse.Namespace) -> int:
+def _cmd_trunk(args: argparse.Namespace) -> Callable[[], str]:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
-    poly = parse(args.poly)
-    trunk = build_trunk(poly, args.prime, args.max_level)
+    trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     if args.format == "text":
-        print(_trunk_text(trunk))
-    elif args.format == "dot":
-        print(_trunk_dot(trunk, args.with_fans))
-    else:
+        return lambda: _trunk_text(trunk)
+    if args.format == "dot":
+        return lambda: _trunk_dot(trunk, args.with_fans)
+
+    def render() -> str:
         nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
         payload = {
             "polynomial": poly_to_str(trunk.P0),
@@ -184,12 +194,9 @@ def _cmd_trunk(args: argparse.Namespace) -> int:
             "tip_count": str(trunk.d_trunk),
             "nodes": [_node_json(n) for n in nodes],
         }
-        _emit_json(_document("trunk", {
-            "poly": args.poly,
-            "prime": str(args.prime),
-            "max_level": str(args.max_level),
-        }, payload))
-    return 0
+        return _json("trunk", {"poly": args.poly, "prime": str(args.prime),
+                               "max_level": str(args.max_level)}, payload)
+    return render
 
 
 # ----------------------------------------------------------------------
@@ -213,82 +220,57 @@ def _balls_text(decomposition) -> list[str]:
     return out
 
 
-def _solve_prime_power(args: argparse.Namespace) -> int:
-    poly = parse(args.poly)
+def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
     p, e = args.prime, args.exp
-    trunk = build_trunk(poly, p, max(e, 1))
+    trunk = build_trunk(parse(args.poly), p, max(e, 1))
     count = count_solutions(trunk, e)
     decomposition = ball_decomposition(trunk, e) if args.balls and e >= 1 else None
     solutions = None
     if not args.count_only and not args.balls:
         solutions = [0] if e == 0 else enumerate_solutions(trunk, e)
 
-    if args.format == "text":
-        print(f"modulus: {p}^{e}")
-        print(f"count: {count}")
-        if decomposition is not None:
-            print("balls:")
-            for line in _balls_text(decomposition):
-                print(line)
-        if solutions is not None:
-            print("solutions: " + " ".join(str(x) for x in solutions))
-    else:
-        payload: dict = {
-            "p": str(p),
-            "e": str(e),
-            "modulus": str(p ** e),
-            "count": str(count),
-        }
+    def render() -> str:
+        if args.format == "text":
+            lines = [f"modulus: {p}^{e}", f"count: {count}"]
+            if decomposition is not None:
+                lines += ["balls:", *_balls_text(decomposition)]
+            if solutions is not None:
+                lines.append("solutions: " + " ".join(str(x) for x in solutions))
+            return "\n".join(lines)
+        payload: dict = {"p": str(p), "e": str(e), "modulus": str(p ** e), "count": str(count)}
         if decomposition is not None:
             payload["balls"] = _balls_json(decomposition)
         if solutions is not None:
             payload["solutions"] = [str(x) for x in solutions]
-        _emit_json(_document("solve", {
-            "poly": args.poly,
-            "prime": str(p),
-            "exp": str(e),
-        }, payload))
-    return 0
+        return _json("solve", {"poly": args.poly, "prime": str(p), "exp": str(e)}, payload)
+    return render
 
 
-def _solve_modulus(args: argparse.Namespace) -> int:
-    poly = parse(args.poly)
-    result = crt_solve(poly, args.modulus, count_only=args.count_only)
-    factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
-    if args.format == "text":
-        print(f"modulus: {args.modulus} = {factored}")
-        print(f"count: {result.count}")
-        if args.balls:
-            for pp, decomposition in result.factors:
-                print(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
-                for line in _balls_text(decomposition):
-                    print(line)
-        if result.solutions is not None and not args.balls:
-            print("solutions: " + " ".join(str(x) for x in result.solutions))
-    else:
-        payload = {
-            "n": str(args.modulus),
-            "count": str(result.count),
-            "factors": [
-                {
-                    "p": str(pp.p),
-                    "e": str(pp.e),
-                    "count": str(decomposition.count),
-                    "balls": _balls_json(decomposition),
-                }
-                for pp, decomposition in result.factors
-            ],
-        }
+def _solve_modulus(args: argparse.Namespace) -> Callable[[], str]:
+    result = crt_solve(parse(args.poly), args.modulus, count_only=args.count_only)
+
+    def render() -> str:
+        if args.format == "text":
+            factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
+            lines = [f"modulus: {args.modulus} = {factored}", f"count: {result.count}"]
+            if args.balls:
+                for pp, decomposition in result.factors:
+                    lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
+                    lines += _balls_text(decomposition)
+            if result.solutions is not None and not args.balls:
+                lines.append("solutions: " + " ".join(str(x) for x in result.solutions))
+            return "\n".join(lines)
+        payload = {"n": str(args.modulus), "count": str(result.count), "factors": [
+            {"p": str(pp.p), "e": str(pp.e), "count": str(decomposition.count),
+             "balls": _balls_json(decomposition)}
+            for pp, decomposition in result.factors]}
         if result.solutions is not None:
             payload["solutions"] = [str(x) for x in result.solutions]
-        _emit_json(_document("solve", {
-            "poly": args.poly,
-            "modulus": str(args.modulus),
-        }, payload))
-    return 0
+        return _json("solve", {"poly": args.poly, "modulus": str(args.modulus)}, payload)
+    return render
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Callable[[], str]:
     if args.modulus is not None:
         if args.prime is not None or args.exp is not None:
             raise ValueError("--modulus excludes --prime/--exp")
@@ -302,35 +284,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 # classify
 # ----------------------------------------------------------------------
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    poly = parse(args.poly)
-    result = classify_quadratic(poly, args.prime)
+def _cmd_classify(args: argparse.Namespace) -> Callable[[], str]:
+    result = classify_quadratic(parse(args.poly), args.prime)
     base = "infinite" if result.base_length is None else str(result.base_length)
     if args.format == "text":
-        print(f"kind: {result.kind}")
-        print(f"base stem length: {base}")
-    else:
-        _emit_json(_document("classify", {
-            "poly": args.poly,
-            "prime": str(args.prime),
-        }, {"kind": result.kind, "base_length": base}))
-    return 0
+        return lambda: f"kind: {result.kind}\nbase stem length: {base}"
+    return lambda: _json("classify", {"poly": args.poly, "prime": str(args.prime)},
+                         {"kind": result.kind, "base_length": base})
 
 
 # ----------------------------------------------------------------------
 # poincare
 # ----------------------------------------------------------------------
 
-def _cmd_poincare(args: argparse.Namespace) -> int:
-    poly = parse(args.poly)
-    trunk = build_trunk(poly, args.prime, args.max_level)
+def _cmd_poincare(args: argparse.Namespace) -> Callable[[], str]:
+    trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
         horizon = args.horizon if args.horizon is not None \
             else max(10, trunk.built_depth)
-        # series in u list their terms in ascending powers
-        numerator = _render_terms(enumerate(series.numerator), "u")
-        denominator = _render_terms(enumerate(series.denominator), "u")
     else:
         available = len(series.truncation) - 1
         horizon = available if args.horizon is None \
@@ -338,17 +310,19 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
     coeffs = series.expand(horizon)
     counts = [c * args.prime**e for e, c in enumerate(coeffs)]
 
-    if args.format == "text":
-        print(f"certified: {'true' if series.certified else 'false'}")
+    def render() -> str:
         if series.certified:
-            print(f"S(u) = ({numerator}) / ({denominator})")
-        else:
-            print("closed form not certified; partial coefficients only")
-        print(f"coefficients N_e/p^e (e = 0..{horizon}): "
-              + ", ".join(str(c) for c in coeffs))
-        print(f"counts N_e (e = 0..{horizon}): "
-              + ", ".join(str(c) for c in counts))
-    else:
+            # series in u list their terms in ascending powers
+            numerator = _render_terms(enumerate(series.numerator), "u")
+            denominator = _render_terms(enumerate(series.denominator), "u")
+        if args.format == "text":
+            return "\n".join([
+                f"certified: {'true' if series.certified else 'false'}",
+                f"S(u) = ({numerator}) / ({denominator})" if series.certified
+                else "closed form not certified; partial coefficients only",
+                f"coefficients N_e/p^e (e = 0..{horizon}): "
+                + ", ".join(str(c) for c in coeffs),
+                f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])
         payload: dict = {
             "certified": series.certified,
             "horizon": str(horizon),
@@ -362,12 +336,9 @@ def _cmd_poincare(args: argparse.Namespace) -> int:
                 {"a": str(a), "b": str(b)}
                 for a, b in series.denominator_factors
             ]
-        _emit_json(_document("poincare", {
-            "poly": args.poly,
-            "prime": str(args.prime),
-            "max_level": str(args.max_level),
-        }, payload))
-    return 0
+        return _json("poincare", {"poly": args.poly, "prime": str(args.prime),
+                                  "max_level": str(args.max_level)}, payload)
+    return render
 
 
 # ----------------------------------------------------------------------
@@ -427,10 +398,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        render = args.handler(args)
+        with _all_digits():
+            out = render()
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(out)
+    return 0
 
 
 def run() -> None:

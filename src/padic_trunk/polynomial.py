@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import zip_longest
 from typing import Iterable
 
 
@@ -45,6 +46,15 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list[int]) -> "Polynomial":
+        """Unchecked constructor for ints computed here; strips trailing zeros of cs."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = object.__new__(cls)
+        poly.coeffs = tuple(cs)
+        return poly
 
     # ------------------------------------------------------------------
     # basic queries
@@ -94,13 +104,15 @@ class Polynomial:
         q = _coerce(other)
         if q is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(q.coeffs))
-        return Polynomial(self.coefficient(i) + q.coefficient(i) for i in range(n))
+        if not self.coeffs or not q.coeffs:
+            return q if self.is_zero else self
+        pairs = zip_longest(self.coeffs, q.coeffs, fillvalue=0)
+        return Polynomial._of([a + b for a, b in pairs])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         q = _coerce(other)
@@ -125,7 +137,7 @@ class Polynomial:
             if a:
                 for j, b in enumerate(q.coeffs):
                     out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -142,7 +154,7 @@ class Polynomial:
         return result
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Polynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     # ------------------------------------------------------------------
     # congruence-specific operations
@@ -165,45 +177,50 @@ class Polynomial:
     def shift_scale(self, r: int, p: int) -> "Polynomial":
         """The substituted polynomial P(r + p*X), computed exactly.
 
-        Horner-style composition, never forming binomials or factorials.
+        A Taylor shift by r in place (repeated synthetic division, never
+        forming binomials or factorials), then coefficient i times p**i.
         The scale may be any positive integer (callers also pass p**k).
         """
         if self.is_zero:
             raise ValueError("shift_scale requires a nonzero polynomial")
         if p < 1:
             raise ValueError("scale must be positive")
-        res: list[int] = []
-        for c in reversed(self.coeffs):
-            nxt = [0] * (len(res) + 1)
-            for i, a in enumerate(res):
-                nxt[i] += a * r
-                nxt[i + 1] += a * p
-            nxt[0] += c
-            res = nxt
-        return Polynomial(res)
+        a = list(self.coeffs)
+        n = len(a)
+        for i in range(n - 1 if r else 0):
+            for j in range(n - 2, i - 1, -1):
+                a[j] += r * a[j + 1]
+        scale = 1
+        for j in range(1, n):
+            scale *= p
+            a[j] *= scale
+        return Polynomial._of(a)
 
-    def p_content(self, p: int) -> tuple[int, "Polynomial"]:
+    def p_content(self, p: int, at_most: int | None = None) -> tuple[int, "Polynomial"]:
         """Split off the highest power of p dividing every coefficient.
 
         Returns (t, Q) with P == p**t * Q exactly and p not dividing Q.
-        t is val_p of the gcd, so a thickness split (t <= deg P) costs at
-        most deg P + 1 divisions by p.
+        t is val_p of the gcd.  A caller that knows t <= at_most has it
+        taken of the coefficients mod p**(at_most + 1): linear time in
+        their size, where the full gcd is quadratic.
         """
         if p < 2:
             raise ValueError("p must be at least 2")
         if self.is_zero:
             raise ValueError("zero polynomial has infinite content")
-        t = val_p(math.gcd(*self.coeffs), p)
+        q = 0 if at_most is None else p ** (at_most + 1)
+        t = val_p(math.gcd(q, *(c % q for c in self.coeffs)) if q
+                  else math.gcd(*self.coeffs), p)
         if t == 0:
             return 0, self
         q = p ** t
-        return t, Polynomial(c // q for c in self.coeffs)
+        return t, Polynomial._of([c // q for c in self.coeffs])
 
     def reduce_mod(self, p: int) -> "Polynomial":
         """Coefficient-wise reduction into [0, p), in canonical form."""
         if p < 2:
             raise ValueError("p must be at least 2")
-        return Polynomial(c % p for c in self.coeffs)
+        return Polynomial._of([c % p for c in self.coeffs])
 
 
 #: Primes below this find roots by evaluating at every residue, which beats

@@ -141,7 +141,21 @@ def is_solution(trunk: Trunk, x: int, e: int) -> bool:
     if e1 <= 0:
         return True
     p = trunk.p
-    return any(x % p**k == _ball(p, node, k).r for node, k in _windows(trunk, e1))
+    return any(_contains(p, node, k, x) for node, k in _windows(trunk, e1))
+
+
+def _contains(p: int, node: TrunkNode, k: int, x: int) -> bool:
+    """Whether x lies in the ball modulo p**k that node contributes.
+
+    On a Hensel tail the successor is linear mod p, so its root modulo
+    p**(k - node.k) is unique: one evaluation at y = (x - r) / p**node.k.
+    """
+    pk = p**node.k
+    if x % pk != node.r:
+        return False
+    if k > node.k and node.status == STATUS_HENSEL:
+        return node.successor.evaluate((x - node.r) // pk, p**(k - node.k)) == 0
+    return x % p**k == _ball(p, node, k).r
 
 
 def count_solutions(trunk: Trunk, e: int) -> int:

@@ -8,7 +8,7 @@ cumulative thickness phi along the path tells exactly which levels the
 vertex accounts for.  This module computes thicknesses, successors and
 residual degrees, builds the trunk level by level, certifies infinite
 branches (simple-root continuations and exact state cycles), and lifts
-simple roots to arbitrary prime-power moduli.
+simple roots to arbitrary prime-power moduli by Newton doubling.
 """
 
 from __future__ import annotations
@@ -42,13 +42,16 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
 
     P(r + p*X) = p**t * Q(X) with t maximal, so p does not divide Q.
     Requires p not dividing P itself and P(r) = 0 (mod p); t is then
-    at least 1 and at most deg P.
+    at least 1 and at most deg P, so the coefficients mod p**(deg P + 1)
+    give it.
     """
     if P.is_zero or not _unit_content(P, p):
         raise ValueError("unnormalized input: p divides P")
-    if P.evaluate(r, p) != 0:
+    shifted = P.shift_scale(r, p)
+    # the constant term of P(r + p*X) is P(r)
+    if shifted.coefficient(0) % p:
         raise ValueError(f"not a root: P({r}) is nonzero modulo {p}")
-    return P.shift_scale(r, p).p_content(p)
+    return shifted.p_content(p, P.degree)
 
 
 def residual_degree(Q: Polynomial, p: int) -> int:
@@ -61,22 +64,25 @@ def residual_degree(Q: Polynomial, p: int) -> int:
 def hensel_lift(P: Polynomial, x1: int, p: int, e: int) -> int:
     """Lift a simple mod-p root of P to the unique root modulo p**e.
 
-    Newton-style iteration: with D the inverse of P'(x1) mod p, each
-    level applies the correction h = -(P(x)/p**j) * D and adds h * p**j.
+    Newton doubling: with x a root modulo p**k and inv = 1/P'(x) modulo
+    p**k, x - P(x) * inv is the root modulo p**(2k).  Each round refreshes
+    inv from p**(k/2) to p**k by one Newton step inv * (2 - P'(x) * inv),
+    then doubles k, up to e: a few Horner passes at the final precision.
     Returns the representative in [0, p**e).
     """
     if e < 1:
         raise ValueError("e must be positive")
-    if P.evaluate(x1, p) != 0 or P.derivative().evaluate(x1, p) == 0:
+    dP = P.derivative()
+    slope = dP.evaluate(x1, p)
+    if P.evaluate(x1, p) != 0 or slope == 0:
         raise NotSimpleRootError(f"not a simple root: x = {x1} modulo {p}")
-    d_inv = pow(P.derivative().evaluate(x1, p), -1, p)
-    x = x1 % p
-    pj = p
-    for _ in range(e - 1):
-        value = P.evaluate(x, pj * p)
-        h = (-(value // pj) * d_inv) % p
-        x += h * pj
-        pj *= p
+    x, inv, k = x1 % p, pow(slope, -1, p), 1
+    while k < e:
+        m = p ** k
+        inv = inv * (2 - dP.evaluate(x, m) * inv) % m
+        k = min(2 * k, e)
+        m = p ** k
+        x = (x - P.evaluate(x, m) * inv) % m
     return x
 
 
@@ -147,27 +153,20 @@ class Trunk:
         return not self.undetermined_nodes()
 
 
-def _linear_root(Q: Polynomial, p: int) -> int:
-    # Q mod p has degree 1 here: a*X + b with a invertible.
-    red = Q.reduce_mod(p)
-    b = red.coefficient(0)
-    a = red.coefficient(1)
-    return (-b * pow(a, -1, p)) % p
-
-
 def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
     """Build the trunk of P for the prime p down to level max_level.
 
     Per level, the roots of the current successor modulo p come from
     roots_mod_p, in about deg(P)**2 * log p operations mod p, and each
     root gets a child carrying its thickness, successor and residual
-    degree.
+    degree.  Each successor is reduced mod p once, for both its residual
+    degree and its roots.
 
     Branch endings:
       * residual degree 0, or no mod-p roots of the successor: "leaf";
       * thickness 1 with residual degree 1: "hensel-certified" (a simple
         root whose unique infinite thickness-1 continuation is lifted on
-        demand rather than stored);
+        demand by Newton doubling rather than stored);
       * (successor, thickness) state equal to an ancestor's:
         "cycle-certified" with the repeating digit pattern;
       * anything still open at max_level: "undetermined".
@@ -180,21 +179,23 @@ def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
         raise ValueError(f"{p} is not prime")
 
     t0, p0 = P.p_content(p)
-    root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0,
-                     s=residual_degree(p0, p))
+    red = p0.reduce_mod(p)
+    root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0, s=red.degree)
     # a state repeats only when P0 = u*(a*X - b)**n, whose trunk is a single path
     expanded: dict[tuple, TrunkNode] = {}
-    stack = [root]
+    # each open vertex travels with its successor reduced mod p
+    stack = [(root, red)]
     while stack:
-        node = stack.pop()
+        node, red = stack.pop()
         if node.s == 0:
             # successor is a nonzero constant mod p: no roots ever
             node.status = STATUS_LEAF
             continue
         if node.t == 1:
             # thickness 1 with s = 1: a simple root, infinite by lifting
+            b, a = red.coeffs
             node.status = STATUS_HENSEL
-            node.hensel_root = _linear_root(node.successor, p)
+            node.hensel_root = -b * pow(a, -1, p) % p
             continue
         state = (node.t, node.successor.coeffs)
         match = expanded.get(state)
@@ -208,7 +209,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
             node.status = STATUS_UNDETERMINED
             continue
 
-        roots = roots_mod_p(node.successor, p)
+        roots = roots_mod_p(red, p)
         if not roots:
             node.status = STATUS_LEAF
             continue
@@ -217,9 +218,10 @@ def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
         pk = p ** node.k
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)
+            red = successor.reduce_mod(p)
             child = TrunkNode(r=node.r + rho * pk, k=node.k + 1, t=t,
                               phi=node.phi + t, successor=successor,
-                              s=residual_degree(successor, p))
+                              s=red.degree)
             node.children.append(child)
-            stack.append(child)
+            stack.append((child, red))
     return Trunk(p=p, t0=t0, P0=p0, root=root, built_depth=max_level)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from padic_trunk import build_trunk, parse
 from padic_trunk.cli import main
 
@@ -257,3 +259,62 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "solutions: 2 7 8 13" in result.stdout
+
+
+# ----------------------------------------------------------------------
+# answers past CPython's int-to-str digit limit
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def digit_limit():
+    """CPython's default int-to-str digit limit, in force for the test (None before 3.11)."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield None
+        return
+    old = get_limit()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _lifted_int(text):
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
+    try:
+        return int(text)
+    finally:
+        set_limit(old)
+
+
+def test_answers_longer_than_the_digit_limit_print_whole(capsys, digit_limit):
+    # the two square roots of 2 modulo 7^6000 have about 5070 digits each
+    m = 7**6000
+    code, out, err = run_cli(capsys, "solve", "--poly", "X^2-2", "--prime", "7",
+                             "--exp", "6000", "--balls")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[:3] == ["modulus: 7^6000", "count: 2", "balls:"]
+    assert min(len(line.split()[0]) for line in lines[3:]) > 4300
+    roots = [_lifted_int(line.split()[0]) for line in lines[3:]]
+    assert len(roots) == 2 and all((r * r - 2) % m == 0 for r in roots)
+
+    code, out, err = run_cli(capsys, "solve", "--poly", "X^2-2", "--prime", "7",
+                             "--exp", "6000", "--balls", "--format", "json")
+    assert code == 0 and err == ""
+    balls = json.loads(out)["payload"]["balls"]
+    assert sorted(_lifted_int(b["r"]) for b in balls) == sorted(roots)
+    # the limit is back in force after rendering
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digit_limit
+
+
+def test_parsing_keeps_the_digit_limit(capsys, digit_limit):
+    if digit_limit is None:
+        pytest.skip("this Python has no int-to-str digit limit")
+    code, out, err = run_cli(capsys, "solve", "--poly", "X-" + "1" * 5000,
+                             "--prime", "7", "--exp", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "limit" in err

@@ -107,6 +107,23 @@ def test_reduce_mod_degree_drop_iff_p_divides_leading():
     assert P.reduce_mod(5).degree == P.degree
 
 
+def test_add():
+    P = 3 * X**3 - 2 * X + 7
+    zero = Polynomial()
+    # a zero operand hands back the other one, immutable either way
+    assert P + zero is P and zero + P is P and P + 0 is P and 0 + P is P
+    assert P + (X**5 - 7) == X**5 + 3 * X**3 - 2 * X
+    assert (X**2 + X) + (1 - X**2) == X + 1
+    assert (P + (-P)).is_zero and (P - P).coeffs == ()
+    rng = random.Random(5)
+    for _ in range(100):
+        a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        n = max(len(a), len(b))
+        expected = Polynomial((a + [0] * n)[i] + (b + [0] * n)[i] for i in range(n))
+        assert Polynomial(a) + Polynomial(b) == expected
+
+
 def test_derivative():
     assert (X**3 + 2 * X).derivative() == 3 * X**2 + 2
     assert Polynomial([5]).derivative().is_zero

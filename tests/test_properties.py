@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padic_trunk import (
@@ -25,7 +25,7 @@ from padic_trunk import (
     val_p,
 )
 from padic_trunk.polynomial import ROOT_SCAN_LIMIT, _roots_by_gcd, roots_mod_p
-from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED
+from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED, hensel_lift
 
 from invariants import check_trunk
 
@@ -51,6 +51,8 @@ def test_p_content_splits_off_the_minimum_valuation(coeffs, p, c):
     P = Polynomial(x * p**c for x in coeffs)
     t, Q = P.p_content(p)
     assert t == min(val_p(x, p) for x in P.coeffs if x)
+    # a known bound on t gives the same split from the coefficients mod p**(bound+1)
+    assert P.p_content(p, t) == P.p_content(p, t + 3) == (t, Q)
     assert P == p**t * Q
     assert any(x % p for x in Q.coeffs)
 
@@ -347,3 +349,48 @@ def test_roots_mod_a_61_bit_prime(coeffs, roots):
     assert len(found) == _distinct_root_count(list(red.coeffs), q)
     assert found == sorted(set(found))
     assert roots_mod_p(Q, q) == found
+
+
+# ----------------------------------------------------------------------
+# Hensel lifting against the digit-by-digit reference
+# ----------------------------------------------------------------------
+
+def digit_by_digit_lift(P, x1, p, e):
+    """The unique root modulo p**e above the simple root x1, one base-p digit a step.
+
+    With D the inverse of P'(x1) mod p, level j adds h * p**j for the
+    correction h = -(P(x) / p**j) * D mod p.
+    """
+    d_inv = pow(P.derivative().evaluate(x1, p), -1, p)
+    x, pj = x1 % p, p
+    for _ in range(e - 1):
+        h = -(P.evaluate(x, pj * p) // pj) * d_inv % p
+        x += h * pj
+        pj *= p
+    return x
+
+
+@st.composite
+def simple_roots(draw):
+    """(P, x1, p): P(x1) = 0 (mod p) with P'(x1) a unit mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 257, 2**61 - 1]))
+    x1 = draw(st.integers(0, p - 1))
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=6))
+    P = Polynomial(coeffs)
+    # move the constant term so that x1 is a root mod p (but rarely an exact one)
+    P = P - P.evaluate(x1, p)
+    assume(not P.is_zero and P.derivative().evaluate(x1, p) != 0)
+    return P, x1, p
+
+
+@settings(deterministic, max_examples=300)
+@given(case=simple_roots(), e=st.one_of(st.sampled_from([1, 2]), st.integers(1, 300)))
+@example(case=(Polynomial([-2, 0, 1]), 3, 7), e=1)
+@example(case=(Polynomial([-2, 0, 1]), 3, 7), e=2)
+@example(case=(Polynomial([-9 - (2**61 - 1), 0, 1]), 3, 2**61 - 1), e=2)
+def test_doubling_lift_equals_the_digit_by_digit_reference(case, e):
+    P, x1, p = case
+    x = hensel_lift(P, x1, p, e)
+    assert x == digit_by_digit_lift(P, x1, p, e)
+    assert 0 <= x < p**e and x % p == x1
+    assert P.evaluate(x, p**e) == 0

@@ -42,6 +42,42 @@ def test_exact_integer_root_solves_every_level(checked_build):
     assert not is_solution(trunk, 1, 1)
 
 
+#: (P, p, e) with Hensel tails (simple roots, some p-adically irrational)
+#: and cycle tails, queried far past the built depth
+DEEP_MEMBERSHIP = [
+    ("(X-5)*(X^2-2)", 7, 1500),
+    ("(X+17)*(X^2+X+3)*(X^2+2)", 5, 1100),
+    ("X^3-3*X+7", 13, 600),
+    ("(X-1)*(X-2)+5", 5, 2),
+    ("(4*X-1)^2", 3, 700),
+    ("(4*X-1)^2", 5, 901),
+    ("X^2", 3, 1000),
+]
+
+
+@pytest.mark.parametrize("text, p, e", DEEP_MEMBERSHIP)
+def test_is_solution_matches_evaluation_on_deep_tails(monkeypatch, text, p, e):
+    P = parse(text)
+    trunk = build_trunk(P, p, 8)
+    assert trunk.fully_resolved
+    m = p**e
+    balls = ball_decomposition(trunk, e).balls
+    assert balls
+    rng = random.Random(e)
+    queries = [rng.randrange(m) for _ in range(5)]
+    for ball in balls:
+        # exact roots, the same class shifted by p**e, and near-misses that
+        # differ only in digit e-1 (or at digit k-1 of a wide ball)
+        queries += [ball.r, ball.r - m, ball.r + (ball.r * 7 + 1) % (m // p**ball.k) * p**ball.k]
+        queries += [ball.r + c * p**(e - 1) for c in range(1, min(p, 4))]
+        queries.append(ball.r + p**(ball.k - 1))
+    # membership evaluates the tail's successor once, with no lift
+    monkeypatch.setattr("padic_trunk.solver.hensel_lift", None)
+    answers = {x: is_solution(trunk, x, e) for x in queries}
+    assert answers == {x: P.evaluate(x, m) == 0 for x in queries}
+    assert set(answers.values()) == {True, False}
+
+
 def test_is_solution_requires_depth(checked_build):
     trunk = checked_build("(X^2-17)^2", 13, 2)
     assert is_solution(trunk, 2, 2)

@@ -275,6 +275,28 @@ def test_random_trunks_pass_invariants():
     assert built >= 70
 
 
+def test_children_agree_with_thickness_and_residual_degree_of_their_parent():
+    """build_trunk's one reduction per vertex gives the public primitives' answers."""
+    rng = random.Random(61)
+    trunks = [build_trunk(parse(text), p, lvl) for text, p, lvl in GOLDEN_TRUNKS]
+    while len(trunks) < 200:
+        P = Polynomial([rng.randint(-40, 40) for _ in range(rng.randint(1, 4))])
+        P = P * Polynomial([rng.randint(-40, 40), rng.randint(1, 3)]) ** rng.randint(1, 3)
+        if not P.is_zero:
+            trunks.append(build_trunk(P, rng.choice([2, 3, 5, 7, 13, 257]), rng.randint(1, 12)))
+    children = 0
+    for trunk in trunks:
+        p = trunk.p
+        assert trunk.root.s == residual_degree(trunk.P0, p)
+        for node in [trunk.root, *trunk.iter_nodes()]:
+            for child in node.children:
+                rho = (child.r - node.r) // p**node.k
+                assert (child.t, child.successor) == thickness(node.successor, rho, p)
+                assert child.s == residual_degree(child.successor, p)
+                children += 1
+    assert children > 1000
+
+
 # ----------------------------------------------------------------------
 # golden snapshots: the builder must keep returning identical trunks
 # ----------------------------------------------------------------------
