@@ -2,11 +2,14 @@
 
 Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
-values survive any JSON consumer.  Each command computes its answer,
-then renders the whole output before anything is printed, with
-CPython's limit on int-to-str digits lifted while it renders (parsing
-keeps the limit).  Diagnostics go to stderr with a nonzero exit code;
-no output is emitted on error paths.
+values survive any JSON consumer.  One writer, `_write`, prints the
+bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
+with its ints as strings, formatting int lists 4096 at a time, so a
+JSON listing peaks at about 75 MB per million solutions.  Each command
+computes its answer, then renders the whole output before anything is
+printed, with CPython's limit on int-to-str digits lifted while it
+renders (parsing keeps the limit).  Diagnostics go to stderr with a
+nonzero exit code; no output is emitted on error paths.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterator
 
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
@@ -36,12 +40,48 @@ from .trunk import (
 )
 
 SCHEMA_VERSION = "1"
+_BLOCK = 4096
+
+
+def _int_blocks(xs: list[int], template: str, sep: str) -> Iterator[str]:
+    """The ints xs, each formatted by template and separated by sep, a block at a time."""
+    for i in range(0, len(xs), _BLOCK):
+        block = tuple(xs[i:i + _BLOCK])
+        yield ((sep if i else "") + sep.join([template] * len(block))) % block
+
+
+def _write(value, indent: str, parts: list[str]) -> None:
+    """Append to parts what json.dumps(value, indent=2, sort_keys=True) would
+    write for value with every int (not bool) replaced by its decimal string."""
+    if type(value) is int:
+        parts.append(f'"{value}"')
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif not value or not isinstance(value, (dict, list)):
+        parts.append(json.dumps(value))  # null, true, false, {} and []
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            parts.append((",\n" if i else "{\n") + inner + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, parts)
+        parts.append("\n" + indent + "}")
+    else:
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            parts.append("[\n" + inner)
+            parts.extend(_int_blocks(value, '"%d"', ",\n" + inner))
+        else:
+            for i, item in enumerate(value):
+                parts.append((",\n" if i else "[\n") + inner)
+                _write(item, inner, parts)
+        parts.append("\n" + indent + "]")
 
 
 def _json(command: str, inputs: dict, payload: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "input": inputs, "payload": payload}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    parts: list[str] = []
+    _write({"schema_version": SCHEMA_VERSION, "command": command,
+            "input": inputs, "payload": payload}, "", parts)
+    return "".join(parts)
 
 
 @contextlib.contextmanager
@@ -64,18 +104,18 @@ def _status_tag(node: TrunkNode) -> str:
 
 def _node_json(node: TrunkNode) -> dict:
     entry = {
-        "r": str(node.r),
-        "k": str(node.k),
-        "t": None if node.t is None else str(node.t),
-        "phi": str(node.phi),
-        "s": str(node.s),
+        "r": node.r,
+        "k": node.k,
+        "t": node.t,
+        "phi": node.phi,
+        "s": node.s,
         "status": node.status,
         "successor": poly_to_str(node.successor),
     }
     if node.period is not None:
-        entry["period"] = str(node.period)
+        entry["period"] = node.period
     if node.hensel_root is not None:
-        entry["hensel_root"] = str(node.hensel_root)
+        entry["hensel_root"] = node.hensel_root
     return entry
 
 
@@ -187,15 +227,15 @@ def _cmd_trunk(args: argparse.Namespace) -> Callable[[], str]:
         nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
         payload = {
             "polynomial": poly_to_str(trunk.P0),
-            "p": str(trunk.p),
-            "t0": str(trunk.t0),
-            "d_p": str(trunk.d_p),
-            "built_depth": str(trunk.built_depth),
-            "tip_count": str(trunk.d_trunk),
+            "p": trunk.p,
+            "t0": trunk.t0,
+            "d_p": trunk.d_p,
+            "built_depth": trunk.built_depth,
+            "tip_count": trunk.d_trunk,
             "nodes": [_node_json(n) for n in nodes],
         }
-        return _json("trunk", {"poly": args.poly, "prime": str(args.prime),
-                               "max_level": str(args.max_level)}, payload)
+        return _json("trunk", {"poly": args.poly, "prime": args.prime,
+                               "max_level": args.max_level}, payload)
     return render
 
 
@@ -205,8 +245,7 @@ def _cmd_trunk(args: argparse.Namespace) -> Callable[[], str]:
 
 def _balls_json(decomposition) -> list[dict]:
     p, e = decomposition.p, decomposition.e
-    return [{"r": str(ball.r), "k": str(ball.k),
-             "size": str(p ** (e - ball.k))}
+    return [{"r": ball.r, "k": ball.k, "size": p ** (e - ball.k)}
             for ball in decomposition.balls]
 
 
@@ -235,14 +274,14 @@ def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
             if decomposition is not None:
                 lines += ["balls:", *_balls_text(decomposition)]
             if solutions is not None:
-                lines.append("solutions: " + " ".join(str(x) for x in solutions))
+                lines.append("solutions: " + "".join(_int_blocks(solutions, "%d", " ")))
             return "\n".join(lines)
-        payload: dict = {"p": str(p), "e": str(e), "modulus": str(p ** e), "count": str(count)}
+        payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
         if decomposition is not None:
             payload["balls"] = _balls_json(decomposition)
         if solutions is not None:
-            payload["solutions"] = [str(x) for x in solutions]
-        return _json("solve", {"poly": args.poly, "prime": str(p), "exp": str(e)}, payload)
+            payload["solutions"] = solutions
+        return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
     return render
 
 
@@ -258,15 +297,15 @@ def _solve_modulus(args: argparse.Namespace) -> Callable[[], str]:
                     lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
                     lines += _balls_text(decomposition)
             if result.solutions is not None and not args.balls:
-                lines.append("solutions: " + " ".join(str(x) for x in result.solutions))
+                lines.append("solutions: " + "".join(_int_blocks(result.solutions, "%d", " ")))
             return "\n".join(lines)
-        payload = {"n": str(args.modulus), "count": str(result.count), "factors": [
-            {"p": str(pp.p), "e": str(pp.e), "count": str(decomposition.count),
+        payload = {"n": args.modulus, "count": result.count, "factors": [
+            {"p": pp.p, "e": pp.e, "count": decomposition.count,
              "balls": _balls_json(decomposition)}
             for pp, decomposition in result.factors]}
         if result.solutions is not None:
-            payload["solutions"] = [str(x) for x in result.solutions]
-        return _json("solve", {"poly": args.poly, "modulus": str(args.modulus)}, payload)
+            payload["solutions"] = result.solutions
+        return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
     return render
 
 
@@ -289,7 +328,7 @@ def _cmd_classify(args: argparse.Namespace) -> Callable[[], str]:
     base = "infinite" if result.base_length is None else str(result.base_length)
     if args.format == "text":
         return lambda: f"kind: {result.kind}\nbase stem length: {base}"
-    return lambda: _json("classify", {"poly": args.poly, "prime": str(args.prime)},
+    return lambda: _json("classify", {"poly": args.poly, "prime": args.prime},
                          {"kind": result.kind, "base_length": base})
 
 
@@ -325,7 +364,7 @@ def _cmd_poincare(args: argparse.Namespace) -> Callable[[], str]:
                 f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])
         payload: dict = {
             "certified": series.certified,
-            "horizon": str(horizon),
+            "horizon": horizon,
             "coefficients": [str(c) for c in coeffs],
             "counts": [str(c) for c in counts],
         }
@@ -333,11 +372,9 @@ def _cmd_poincare(args: argparse.Namespace) -> Callable[[], str]:
             payload["numerator"] = numerator
             payload["denominator"] = denominator
             payload["denominator_factors"] = [
-                {"a": str(a), "b": str(b)}
-                for a, b in series.denominator_factors
-            ]
-        return _json("poincare", {"poly": args.poly, "prime": str(args.prime),
-                                  "max_level": str(args.max_level)}, payload)
+                {"a": a, "b": b} for a, b in series.denominator_factors]
+        return _json("poincare", {"poly": args.poly, "prime": args.prime,
+                                  "max_level": args.max_level}, payload)
     return render
 
 

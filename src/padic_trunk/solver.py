@@ -14,7 +14,6 @@ by factoring and recombining with the Chinese remainder theorem.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .polynomial import Polynomial
@@ -113,13 +112,15 @@ def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:
     if node.status == STATUS_HENSEL:
         y = hensel_lift(node.successor, node.hensel_root, p, steps)
         return SolutionBall(node.r + y * p**node.k, k)
-    # along a cycle the base-p digits repeat with the certified period
+    # along a cycle the base-p digits repeat with the certified period, so
+    # whole periods sum geometrically and the leftover digits follow
     digits = node.cycle_digits
-    r, pq = node.r, p**node.k
-    for q in range(steps):
-        r += digits[q % len(digits)] * pq
-        pq *= p
-    return SolutionBall(r, k)
+    blocks, left = divmod(steps, len(digits))
+    scale, power = p**len(digits), p**(len(digits) * blocks)
+    block = sum(d * p**q for q, d in enumerate(digits))
+    tail = sum(d * p**q for q, d in enumerate(digits[:left]))
+    y = block * ((power - 1) // (scale - 1)) + power * tail
+    return SolutionBall(node.r + y * p**node.k, k)
 
 
 def _members(decomposition: SolutionSet) -> list[int]:
@@ -218,9 +219,10 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
     """Solve P(x) = 0 (mod n) for composite n.
 
     Factors n, solves each prime-power congruence through the trunk
-    pipeline, and recombines residue tuples with modular inverses.  The
-    per-factor ball structure is always returned; the explicit list is
-    subject to the budget (and skipped entirely with count_only).
+    pipeline, and recombines the residues one factor at a time with
+    modular inverses.  The per-factor ball structure is always returned;
+    the explicit list is subject to the budget (and skipped entirely
+    with count_only).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -239,13 +241,11 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
         raise EnumerationBudgetError(
             f"enumeration too large: {count} solutions exceed the budget {budget}")
 
-    moduli = [pp.modulus for pp, _ in factors]
-    basis = []
-    for m in moduli:
-        rest = n // m
-        basis.append(rest * pow(rest, -1, m) % n)
-    per_factor = [_members(decomposition) for _, decomposition in factors]
-    solutions = sorted(
-        sum(r * b for r, b in zip(combo, basis)) % n
-        for combo in itertools.product(*per_factor))
-    return CrtSolution(n=n, count=count, solutions=solutions, factors=factors)
+    # x = sum of r_i * b_i with b_i = 1 mod the i-th prime power, 0 mod the rest
+    acc = [0]
+    for pp, decomposition in factors:
+        rest = n // pp.modulus
+        b = rest * pow(rest, -1, pp.modulus) % n
+        terms = [r * b % n for r in _members(decomposition)]
+        acc = [s + t for s in acc for t in terms]
+    return CrtSolution(n=n, count=count, solutions=sorted([x % n for x in acc]), factors=factors)

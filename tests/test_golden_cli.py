@@ -5,7 +5,10 @@ code, stdout and stderr with `golden/cli.json`.  The outputs were
 captured before the solver's window pass and the trunk builder were
 rewritten, so any change in what the CLI prints shows up here.  The
 two cases `poincare-content-cycle-json` and `poincare-open-hensel` were
-added before `poincare_series` moved to integer algebra in u/p.
+added before `poincare_series` moved to integer algebra in u/p.  The
+listings of 4096, 4097 and 8193 solutions, `solve-modulus-360-json` and
+`poincare-certified-json` were recorded while JSON still went through
+`json.dumps`; they pin the CLI's own writer at its block edges.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -67,10 +70,19 @@ COMMANDS = {
                                      "--balls", "--format", "json"],
     "solve-modulus-360-count-json": ["solve", "--poly", "X^3-X", "--modulus", "360",
                                      "--count-only", "--format", "json"],
+    "solve-list-json-4096": ["solve", "--poly", "X^2", "--prime", "2", "--exp", "25",
+                             "--format", "json"],
+    "solve-list-json-4097": ["solve", "--poly", "X^2*(X-1)", "--prime", "2", "--exp", "25",
+                             "--format", "json"],
+    "solve-list-text-8193": ["solve", "--poly", "X^2*(X-1)", "--prime", "2", "--exp", "27"],
+    "solve-modulus-360-json": ["solve", "--poly", "X^2-1", "--modulus", "360",
+                               "--format", "json"],
     "classify-text": ["classify", "--poly", "X^2+3*X+9", "--prime", "3"],
     "classify-json": ["classify", "--poly", "X^2-17", "--prime", "13", "--format", "json"],
     "poincare-certified": ["poincare", "--poly", "X*(X-1)^2+25", "--prime", "5"],
     "poincare-cycle-json": ["poincare", "--poly", "X^2", "--prime", "3", "--format", "json"],
+    "poincare-certified-json": ["poincare", "--poly", "X*(X-1)^2+25", "--prime", "5",
+                                "--format", "json"],
     "poincare-truncated": ["poincare", "--poly", OPEN, "--prime", "13", "--max-level", "5"],
     "poincare-content": ["poincare", "--poly", "9*(X^2)*(X-1)", "--prime", "3",
                          "--horizon", "12", "--format", "json"],

@@ -4,10 +4,14 @@ Hypothesis runs derandomized with a bounded number of examples, so the
 suite is deterministic and its run time stays fixed.
 """
 
+import json
+import random
 import re
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +25,13 @@ from padic_trunk import (
     crt_solve,
     enumerate_solutions,
     is_solution,
+    parse,
     poincare_series,
     val_p,
 )
+from padic_trunk.cli import _all_digits, _write
 from padic_trunk.polynomial import ROOT_SCAN_LIMIT, _roots_by_gcd, roots_mod_p
+from padic_trunk.solver import _ball
 from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED, hensel_lift
 
 from invariants import check_trunk
@@ -394,3 +401,102 @@ def test_doubling_lift_equals_the_digit_by_digit_reference(case, e):
     assert x == digit_by_digit_lift(P, x1, p, e)
     assert 0 <= x < p**e and x % p == x1
     assert P.evaluate(x, p**e) == 0
+
+
+# ----------------------------------------------------------------------
+# cycle tails against the digit-by-digit reference
+# ----------------------------------------------------------------------
+
+def digit_loop_ball(p, node, k):
+    """The residue mod p**k on node's cycle tail, one repeating base-p digit a level."""
+    digits = node.cycle_digits
+    r, pq = node.r, p**node.k
+    for q in range(k - node.k):
+        r += digits[q % len(digits)] * pq
+        pq *= p
+    return r
+
+
+#: one cycle-certified vertex each, with periods 1, 1, 2, 2, 3, 3, 3 and 4
+CYCLES = [("(4X-1)^2", 5), ("(2X-1)^2", 3), ("(3X-1)^2", 2), ("(4X-1)^2", 3),
+          ("(7X-1)^2", 2), ("(13X-1)^2", 3), ("(7X-3)^3", 2), ("(5X-2)^2", 2)]
+
+
+@pytest.mark.parametrize("text, p", CYCLES)
+def test_cycle_tail_equals_the_digit_loop_reference(text, p):
+    [node] = [n for n in build_trunk(parse(text), p, 12).iter_nodes()
+              if n.status == STATUS_CYCLE]
+    for k in [*range(node.k, node.k + 40), 997, 1000, 1999, 2000]:
+        ball = _ball(p, node, k)
+        assert (ball.r, ball.k) == (digit_loop_ball(p, node, k), k), k
+
+
+# ----------------------------------------------------------------------
+# CRT recombination against the product over residue tuples
+# ----------------------------------------------------------------------
+
+def product_crt(P, n):
+    """Solutions mod n as one sum over every tuple of per-factor residues."""
+    factors = crt_solve(P, n, count_only=True).factors
+    basis, per_factor = [], []
+    for pp, _ in factors:
+        rest = n // pp.modulus
+        basis.append(rest * pow(rest, -1, pp.modulus) % n)
+        per_factor.append(enumerate_solutions(build_trunk(P, pp.p, pp.e), pp.e))
+    return sorted(sum(r * b for r, b in zip(combo, basis)) % n
+                  for combo in product(*per_factor))
+
+
+@settings(deterministic, max_examples=150)
+@given(coeffs=st.lists(st.integers(-30, 30), min_size=2, max_size=5).filter(lambda c: c[-1]),
+       exps=st.lists(st.integers(0, 4), min_size=5, max_size=5))
+@example(coeffs=[1, 0, 1], exps=[0, 1, 1, 0, 0])      # no root mod 3: count 0
+@example(coeffs=[-1, 0, 1], exps=[0, 5, 0, 0, 0])     # the single factor 3^5
+@example(coeffs=[0, 0, 0, 1], exps=[4, 2, 0, 0, 1])   # X^3: repeated roots everywhere
+def test_crt_recombination_equals_the_product_reference(coeffs, exps):
+    n = 2**exps[0] * 3**exps[1] * 5**exps[2] * 7**exps[3] * 11**exps[4]
+    assume(2 <= n <= 50000)
+    P = Polynomial(coeffs)
+    result = crt_solve(P, n)
+    assert result.solutions == product_crt(P, n)
+    assert result.count == len(result.solutions)
+
+
+# ----------------------------------------------------------------------
+# the CLI's JSON writer against json.dumps
+# ----------------------------------------------------------------------
+
+def stringified(value):
+    """value with every int, but no bool, replaced by its decimal string."""
+    if type(value) is int:
+        return str(value)
+    if isinstance(value, dict):
+        return {key: stringified(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [stringified(item) for item in value]
+    return value
+
+
+BIG_INTS = st.builds(lambda digits, sign, low: sign * (10**digits + low),
+                     st.integers(4300, 4400), st.sampled_from([1, -1]), st.integers(0, 10**9))
+#: int lists around the writer's block of 4096, drawn from a seed to stay fast
+INT_LISTS = st.builds(
+    lambda size, seed: random.Random(seed).choices(range(-10**12, 10**12), k=size),
+    st.sampled_from([1, 4095, 4096, 4097, 8193]), st.integers(0, 1000))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), BIG_INTS, st.text())
+DOCUMENTS = st.recursive(
+    SCALARS | INT_LISTS,
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=12)
+
+
+@settings(deterministic, max_examples=200)
+@given(doc=DOCUMENTS)
+@example(doc={})
+@example(doc={"a": [], "b": {}, "c": [True, 1, False, 0, None, -1], "\u2212\x00\ud83d": "\U0001f600"})
+@example(doc=[list(range(-4097, 4096)), [10**5000, -(10**4301)]])
+def test_writer_equals_json_dumps_of_the_stringified_document(doc):
+    parts = []
+    with _all_digits():
+        _write(doc, "", parts)
+        assert "".join(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
