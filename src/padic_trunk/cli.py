@@ -9,13 +9,15 @@ JSON listing peaks at about 75 MB per million solutions.  Each command
 computes its answer, then renders the whole output before anything is
 printed, with CPython's limit on int-to-str digits lifted while it
 renders (parsing keeps the limit).  Diagnostics go to stderr with a
-nonzero exit code; no output is emitted on error paths.
+nonzero exit code; no output is emitted on error paths.  `main` may be
+called repeatedly in one process: the argument parser is built once.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -261,7 +263,8 @@ def _balls_text(decomposition) -> list[str]:
 
 def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
     p, e = args.prime, args.exp
-    trunk = build_trunk(parse(args.poly), p, max(e, 1))
+    # levels past phi >= e never reach the answer at e
+    trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
     count = count_solutions(trunk, e)
     decomposition = ball_decomposition(trunk, e) if args.balls and e >= 1 else None
     solutions = None
@@ -428,10 +431,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args returns a fresh Namespace."""
+    return build_arg_parser()
+
+
+def _attach_poly(argv: list[str]) -> list[str]:
+    """argv with `--poly V` written `--poly=V` when V starts with a single "-",
+    which argparse would otherwise read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--poly" and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] = "--poly=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _arg_parser().parse_args(_attach_poly(argv))
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:

@@ -96,7 +96,9 @@ def _windows(trunk: Trunk, e1: int) -> list[tuple[TrunkNode, int]]:
         elif node.status == STATUS_UNDETERMINED and (short is None or node.phi < short.phi):
             short = node
     if short is not None:
-        # open vertices sit at built_depth and gain thickness >= 1 per level
+        # open vertices sit at built_depth, or shallower with phi >= built_depth
+        # in a levels_only trunk, and gain thickness >= 1 per level, so a
+        # default rebuild to this level takes short's branch past e1
         raise InsufficientDepthError(
             f"insufficient depth: an undetermined branch at level {short.k}"
             f" only covers levels up to {short.phi + trunk.t0}; rebuild the"

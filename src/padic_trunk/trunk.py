@@ -153,7 +153,8 @@ class Trunk:
         return not self.undetermined_nodes()
 
 
-def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
+def build_trunk(P: Polynomial, p: int, max_level: int, *,
+                levels_only: bool = False) -> Trunk:
     """Build the trunk of P for the prime p down to level max_level.
 
     Per level, the roots of the current successor modulo p come from
@@ -170,6 +171,13 @@ def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
       * (successor, thickness) state equal to an ancestor's:
         "cycle-certified" with the repeating digit pattern;
       * anything still open at max_level: "undetermined".
+
+    With levels_only, a branch stops once its cumulative thickness phi
+    reaches max_level instead of its level k.  Since phi >= k this never
+    builds deeper; the trunk has fewer vertices and answers every query
+    at e <= max_level + t0 exactly as the full trunk does, but branches
+    that a deeper build would end as leaves or certify may stay
+    "undetermined", so queries past those levels need a rebuild.
     """
     if not isinstance(max_level, int) or max_level < 1:
         raise ValueError("max_level must be a positive integer")
@@ -205,7 +213,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int) -> Trunk:
             node.cycle_digits = tuple(
                 (node.r // p**q) % p for q in range(match.k, node.k))
             continue
-        if node.k >= max_level:
+        if (node.phi if levels_only else node.k) >= max_level:
             node.status = STATUS_UNDETERMINED
             continue
 

@@ -233,6 +233,18 @@ def test_usage_errors_from_argparse(capsys):
     assert captured.out == ""
 
 
+def test_leading_minus_in_poly_answers_in_both_spellings(capsys):
+    for tail in (["--prime", "3", "--exp", "2"], ["--modulus", "15", "--format", "json"]):
+        spaced = run_cli(capsys, "solve", "--poly", "-X^2+1", *tail)
+        assert spaced == run_cli(capsys, "solve", "--poly=-X^2+1", *tail)
+        assert spaced[0] == 0 and spaced[2] == ""
+    _, out, _ = run_cli(capsys, "solve", "--poly", "-X^2+1", "--prime", "3", "--exp", "2")
+    assert out.splitlines()[-1] == "solutions: 1 8"
+    # an option after --poly is still an option, not a value
+    code, out, err = run_cli(capsys, "solve", "--poly", "--prime", "3", "--exp", "2")
+    assert code == 2 and out == "" and "expected one argument" in err
+
+
 def test_primes_above_a_million_answer(capsys):
     q = 2**61 - 1
     code, out, err = run_cli(capsys, "solve", "--poly", "X^2-1",

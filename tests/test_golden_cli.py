@@ -8,7 +8,9 @@ two cases `poincare-content-cycle-json` and `poincare-open-hensel` were
 added before `poincare_series` moved to integer algebra in u/p.  The
 listings of 4096, 4097 and 8193 solutions, `solve-modulus-360-json` and
 `poincare-certified-json` were recorded while JSON still went through
-`json.dumps`; they pin the CLI's own writer at its block edges.
+`json.dumps`; they pin the CLI's own writer at its block edges.  One
+more test runs every case again, after a usage error and a dot listing
+with fans, through the one parser that `main` keeps per process.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from padic_trunk import cli
 from padic_trunk.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
@@ -107,6 +110,33 @@ def run(argv):
 def test_cli_output_matches_golden(name):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run(COMMANDS[name]) == expected
+
+
+USAGE_ERROR = ["solve", "--poly", "X", "--prime", "notanumber", "--exp", "1"]
+FANS_2 = ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5",
+          "--format", "dot", "--with-fans", "2"]
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch):
+    # the two extra cases on a parser built for each of them alone
+    fresh = {}
+    for name, argv in (("usage", USAGE_ERROR), ("fans-2", FANS_2)):
+        cli._arg_parser.cache_clear()
+        fresh[name] = run(argv)
+    assert fresh["usage"]["exit"] == 2 and fresh["usage"]["stdout"] == ""
+    assert fresh["usage"]["stderr"].startswith("usage: padic-trunk solve")
+    assert fresh["fans-2"]["exit"] == 0 and fresh["fans-2"]["stderr"] == ""
+
+    builds = []
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: builds.append(1) or build())
+    cli._arg_parser.cache_clear()
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert run(USAGE_ERROR) == fresh["usage"]
+    assert run(FANS_2) == fresh["fans-2"]
+    for name in sorted(COMMANDS, reverse=True):
+        assert run(COMMANDS[name]) == golden[name], name
+    assert len(builds) == 1
 
 
 if __name__ == "__main__":

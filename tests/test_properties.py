@@ -120,14 +120,36 @@ def _check_level(P, p, trunk, e):
     assert all(is_solution(trunk, x, e) for x in expected[:200])
 
 
+def _check_same_answers(trunk, full, e):
+    """count, balls, membership and enumeration at p**e equal those of full."""
+    m = trunk.p**e
+    assert count_solutions(trunk, e) == count_solutions(full, e)
+    assert ball_decomposition(trunk, e) == ball_decomposition(full, e)
+    assert enumerate_solutions(trunk, e) == enumerate_solutions(full, e)
+    for x in range(0, m, max(1, m // 200)):
+        assert is_solution(trunk, x, e) == is_solution(full, x, e)
+
+
 @settings(deterministic, max_examples=120)
-@given(case=trunk_inputs(), max_level=st.integers(1, 6))
-def test_trunk_answers_match_brute_force(case, max_level):
+@given(case=trunk_inputs(), max_level=st.integers(1, 6), levels_only=st.booleans())
+def test_trunk_answers_match_brute_force(case, max_level, levels_only):
     P, p = case
-    trunk = check_trunk(build_trunk(P, p, max_level))
+    full = trunk = check_trunk(build_trunk(P, p, max_level))
+    if levels_only:
+        trunk = check_trunk(build_trunk(P, p, max_level, levels_only=True))
+        # a subtrunk of the full trunk that expands no vertex with phi >= max_level
+        vertices = {(n.r, n.k) for n in full.iter_nodes()}
+        assert all((n.r, n.k) in vertices for n in trunk.iter_nodes())
+        assert all(n.phi < max_level for n in [trunk.root, *trunk.iter_nodes()] if n.children)
     e = 1
     while p**e <= MAX_MODULUS:
-        _check_level(P, p, _sufficient_trunk(P, p, trunk, e), e)
+        if e <= max_level + trunk.t0:
+            # answered by the trunk as built, no rebuild
+            _check_level(P, p, trunk, e)
+            if levels_only:
+                _check_same_answers(trunk, full, e)
+        else:
+            _check_level(P, p, _sufficient_trunk(P, p, trunk, e), e)
         e += 1
 
 
