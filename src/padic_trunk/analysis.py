@@ -16,11 +16,12 @@ from fractions import Fraction
 
 from .polynomial import Polynomial, val_p
 from .primes import is_prime
+from .solver import InsufficientDepthError
 from .trunk import (
     CERTIFIED,
-    STATUS_CYCLE,
     STATUS_HENSEL,
     STATUS_LEAF,
+    STATUS_POWER,
     STATUS_UNDETERMINED,
     Trunk,
 )
@@ -216,15 +217,18 @@ def quadratic_class_from_trunk(trunk: Trunk) -> QuadraticClass:
     """Read the classification off a built trunk, shape by shape.
 
     Independent of the discriminant formula; used to cross-check it.
-    The trunk must be deep enough that the finite shapes are resolved
-    (base length + 2 levels suffice), otherwise a still-open stem is
-    reported as Kinf.
+    Kinf is the power certificate of a discriminant-0 quadratic.  A finite
+    shape needs base length + 1 levels; on a stem still open at the built
+    depth this raises InsufficientDepthError.
     """
     node = trunk.root
     stem = 0
     while True:
-        if node.status in (STATUS_CYCLE, STATUS_UNDETERMINED):
+        if node.status == STATUS_POWER:
             return QuadraticClass(KINF, None)
+        if node.status == STATUS_UNDETERMINED:
+            raise InsufficientDepthError(f"insufficient depth: the stem is still open at level"
+                                         f" {node.k}; rebuild with max_level > {trunk.built_depth}")
         if node.status == STATUS_LEAF:
             return QuadraticClass(K0, stem)
         kids = node.children

@@ -33,8 +33,8 @@ from .solver import (
     enumerate_solutions,
 )
 from .trunk import (
-    STATUS_CYCLE,
     STATUS_HENSEL,
+    STATUS_POWER,
     STATUS_UNDETERMINED,
     Trunk,
     TrunkNode,
@@ -98,12 +98,6 @@ def _all_digits():
         set_limit(old)
 
 
-def _status_tag(node: TrunkNode) -> str:
-    if node.status == STATUS_CYCLE:
-        return f"cycle-certified({node.period})"
-    return node.status
-
-
 def _node_json(node: TrunkNode) -> dict:
     entry = {
         "r": node.r,
@@ -114,8 +108,6 @@ def _node_json(node: TrunkNode) -> dict:
         "status": node.status,
         "successor": poly_to_str(node.successor),
     }
-    if node.period is not None:
-        entry["period"] = node.period
     if node.hensel_root is not None:
         entry["hensel_root"] = node.hensel_root
     return entry
@@ -148,22 +140,17 @@ def _trunk_text(trunk: Trunk) -> str:
         node, indent, last = stack.pop()
         branch = "└─ " if last else "├─ "
         lines.append(f"{indent}{branch}({node.r},{node.k}) t={node.t}"
-                     f" s={node.s} phi={node.phi} {_status_tag(node)}")
+                     f" s={node.s} phi={node.phi} {node.status}")
         push_children(node, indent + ("   " if last else "│  "))
     return "\n".join(lines)
 
 
+_DOT_TAGS = {STATUS_HENSEL: " hensel", STATUS_POWER: " power", STATUS_UNDETERMINED: " ?"}
+
+
 def _node_label(node: TrunkNode) -> str:
-    if node.t is None:
-        return f"({node.r},{node.k})"
-    label = f"({node.r},{node.k}) t={node.t} phi={node.phi}"
-    if node.status == STATUS_HENSEL:
-        label += " hensel"
-    elif node.status == STATUS_CYCLE:
-        label += f" cycle({node.period})"
-    elif node.status == STATUS_UNDETERMINED:
-        label += " ?"
-    return label
+    """The dot label of a non-root vertex."""
+    return f"({node.r},{node.k}) t={node.t} phi={node.phi}{_DOT_TAGS.get(node.status, '')}"
 
 
 def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:

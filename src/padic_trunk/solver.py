@@ -7,9 +7,9 @@ r mod p**k, i.e. p**(e-k) solutions.  A certified infinite branch goes
 on past phi with one vertex per level and thickness t per level, so at
 level e it contributes one class modulo p**(k + ceil((e - phi) / t)).
 Every query reads its answer off one pass over these windows: counting
-sums the ball sizes, while membership and ball listings compute the
-residues of certified tails on demand.  Composite moduli are handled
-by factoring and recombining with the Chinese remainder theorem.
+sums the ball sizes, ball listings lift the simple root of a certified
+vertex's tail, and membership evaluates that tail once.  Composite moduli
+are handled by factoring and recombining with the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .polynomial import Polynomial
 from .primes import PrimePower, factorize
 from .trunk import (
     CERTIFIED,
-    STATUS_HENSEL,
     STATUS_UNDETERMINED,
     Trunk,
     TrunkNode,
@@ -107,21 +106,10 @@ def _windows(trunk: Trunk, e1: int) -> list[tuple[TrunkNode, int]]:
 
 
 def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:
-    """The ball modulo p**k that node contributes, continuing a certified tail."""
-    steps = k - node.k
-    if steps == 0:
+    """The ball modulo p**k that node contributes, lifting a certified tail."""
+    if k == node.k:
         return SolutionBall(node.r, k)
-    if node.status == STATUS_HENSEL:
-        y = hensel_lift(node.successor, node.hensel_root, p, steps)
-        return SolutionBall(node.r + y * p**node.k, k)
-    # along a cycle the base-p digits repeat with the certified period, so
-    # whole periods sum geometrically and the leftover digits follow
-    digits = node.cycle_digits
-    blocks, left = divmod(steps, len(digits))
-    scale, power = p**len(digits), p**(len(digits) * blocks)
-    block = sum(d * p**q for q, d in enumerate(digits))
-    tail = sum(d * p**q for q, d in enumerate(digits[:left]))
-    y = block * ((power - 1) // (scale - 1)) + power * tail
+    y = hensel_lift(node.tail, node.hensel_root, p, k - node.k)
     return SolutionBall(node.r + y * p**node.k, k)
 
 
@@ -150,15 +138,13 @@ def is_solution(trunk: Trunk, x: int, e: int) -> bool:
 def _contains(p: int, node: TrunkNode, k: int, x: int) -> bool:
     """Whether x lies in the ball modulo p**k that node contributes.
 
-    On a Hensel tail the successor is linear mod p, so its root modulo
-    p**(k - node.k) is unique: one evaluation at y = (x - r) / p**node.k.
+    Past node.k the vertex is certified and its tail linear mod p, so one
+    evaluation of the tail at y = (x - r) / p**node.k decides.
     """
     pk = p**node.k
     if x % pk != node.r:
         return False
-    if k > node.k and node.status == STATUS_HENSEL:
-        return node.successor.evaluate((x - node.r) // pk, p**(k - node.k)) == 0
-    return x % p**k == _ball(p, node, k).r
+    return k == node.k or node.tail.evaluate((x - node.r) // pk, p**(k - node.k)) == 0
 
 
 def count_solutions(trunk: Trunk, e: int) -> int:

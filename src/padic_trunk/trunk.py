@@ -7,13 +7,15 @@ fully determined by a compact subtree, the trunk: each trunk vertex
 cumulative thickness phi along the path tells exactly which levels the
 vertex accounts for.  This module computes thicknesses, successors and
 residual degrees, builds the trunk level by level, certifies infinite
-branches (simple-root continuations and exact state cycles), and lifts
-simple roots to arbitrary prime-power moduli by Newton doubling.
+branches (simple roots, and the powers c*(a*X - b)**n, the only trunks
+in which a branch repeats a state), and lifts their simple roots to
+arbitrary prime-power moduli.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator
 
 from .polynomial import Polynomial, roots_mod_p
@@ -22,12 +24,12 @@ from .primes import is_prime
 STATUS_EXPANDED = "expanded"
 STATUS_LEAF = "leaf"
 STATUS_HENSEL = "hensel-certified"
-STATUS_CYCLE = "cycle-certified"
+STATUS_POWER = "power-certified"
 STATUS_UNDETERMINED = "undetermined"
 
 #: Branches certified to go on forever past phi, one vertex per level,
 #: each adding the certified vertex's thickness t.
-CERTIFIED = (STATUS_HENSEL, STATUS_CYCLE)
+CERTIFIED = (STATUS_HENSEL, STATUS_POWER)
 
 class NotSimpleRootError(ValueError):
     """hensel_lift was handed a root whose derivative vanishes mod p."""
@@ -68,6 +70,7 @@ def hensel_lift(P: Polynomial, x1: int, p: int, e: int) -> int:
     p**k, x - P(x) * inv is the root modulo p**(2k).  Each round refreshes
     inv from p**(k/2) to p**k by one Newton step inv * (2 - P'(x) * inv),
     then doubles k, up to e: a few Horner passes at the final precision.
+    A linear P is solved outright with one inverse modulo p**e.
     Returns the representative in [0, p**e).
     """
     if e < 1:
@@ -76,6 +79,9 @@ def hensel_lift(P: Polynomial, x1: int, p: int, e: int) -> int:
     slope = dP.evaluate(x1, p)
     if P.evaluate(x1, p) != 0 or slope == 0:
         raise NotSimpleRootError(f"not a simple root: x = {x1} modulo {p}")
+    if P.degree == 1:
+        (b, a), m = P.coeffs, p**e
+        return -b * pow(a, -1, m) % m
     x, inv, k = x1 % p, pow(slope, -1, p), 1
     while k < e:
         m = p ** k
@@ -93,7 +99,9 @@ class TrunkNode:
     t is the thickness at this vertex (None on the root, which carries
     none), phi the cumulative thickness along the path from the root,
     successor the polynomial driving the next level, and s its residual
-    degree (degree of the successor reduced mod p).
+    degree (degree of the successor reduced mod p).  A certified vertex's
+    continuation lifts hensel_root, the simple root mod p of its tail: the
+    successor on a Hensel vertex, the successor's linear factor on a power one.
     """
 
     r: int
@@ -104,12 +112,8 @@ class TrunkNode:
     s: int
     status: str = STATUS_UNDETERMINED
     children: list["TrunkNode"] = field(default_factory=list)
-    # set on hensel-certified nodes: the unique simple root of successor mod p
+    tail: Polynomial | None = None
     hensel_root: int | None = None
-    # set on cycle-certified nodes: distance to the matching ancestor state
-    # and the base-p digit pattern that repeats along the branch
-    period: int | None = None
-    cycle_digits: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -168,8 +172,8 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
       * thickness 1 with residual degree 1: "hensel-certified" (a simple
         root whose unique infinite thickness-1 continuation is lifted on
         demand by Newton doubling rather than stored);
-      * (successor, thickness) state equal to an ancestor's:
-        "cycle-certified" with the repeating digit pattern;
+      * the level-1 vertex of P0 = c*(a*X - b)**n, n >= 2, even at
+        max_level 1: "power-certified", thickness n at every further level;
       * anything still open at max_level: "undetermined".
 
     With levels_only, a branch stops once its cumulative thickness phi
@@ -189,8 +193,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     t0, p0 = P.p_content(p)
     red = p0.reduce_mod(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0, s=red.degree)
-    # a state repeats only when P0 = u*(a*X - b)**n, whose trunk is a single path
-    expanded: dict[tuple, TrunkNode] = {}
+    linear = _linear_factor(p0)
     # each open vertex travels with its successor reduced mod p
     stack = [(root, red)]
     while stack:
@@ -201,17 +204,15 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             continue
         if node.t == 1:
             # thickness 1 with s = 1: a simple root, infinite by lifting
+            node.status, node.tail = STATUS_HENSEL, node.successor
+        elif node.k == 1 and linear is not None:
+            # linear(r + p*X) = p * tail, and the successor is c * tail**n
+            c0, a = linear.coeffs
+            node.status, node.tail = STATUS_POWER, Polynomial([(c0 + a * node.r) // p, a])
+            red = node.tail.reduce_mod(p)
+        if node.tail is not None:
             b, a = red.coeffs
-            node.status = STATUS_HENSEL
             node.hensel_root = -b * pow(a, -1, p) % p
-            continue
-        state = (node.t, node.successor.coeffs)
-        match = expanded.get(state)
-        if match is not None:
-            node.status = STATUS_CYCLE
-            node.period = node.k - match.k
-            node.cycle_digits = tuple(
-                (node.r // p**q) % p for q in range(match.k, node.k))
             continue
         if (node.phi if levels_only else node.k) >= max_level:
             node.status = STATUS_UNDETERMINED
@@ -222,7 +223,6 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_LEAF
             continue
         node.status = STATUS_EXPANDED
-        expanded[state] = node
         pk = p ** node.k
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)
@@ -233,3 +233,23 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.children.append(child)
             stack.append((child, red))
     return Trunk(p=p, t0=t0, P0=p0, root=root, built_depth=max_level)
+
+
+def _linear_factor(Q: Polynomial) -> Polynomial | None:
+    """The primitive a*X - b, a > 0, if Q = c*(a*X - b)**n with n >= 2, else None.
+
+    With b/a = -Q[n-1] / (n*Q[n]), term = Q[n] * binomial(n, i) * (-b)**(n-i)
+    must equal Q[i] * a**(n-i) from the top down; most non-powers fail at X**(n-2).
+    """
+    cs = Q.coeffs
+    n = len(cs) - 1
+    if n < 2:
+        return None
+    root = Fraction(-cs[n - 1], n * cs[n])
+    b, a = root.numerator, root.denominator
+    term, scale = cs[n], 1
+    for i in range(n - 1, -1, -1):
+        term, scale = term * (i + 1) * -b // (n - i), scale * a
+        if cs[i] * scale != term:
+            return None
+    return Polynomial([-b, a])

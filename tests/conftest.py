@@ -9,8 +9,8 @@ TRUNK_CASES = [
     ("(X^2+3)*(X^2+3*X+9)", 3, 5),      # finite trunk, leaf endings
     ("X*(X-1)^2+25", 5, 5),             # simple-root and split branches
     ("X", 5, 3),                        # single lifted branch
-    ("X^2", 3, 6),                      # period-1 cycle
-    ("(4*X-1)^2", 3, 8),                # period-2 cycle
+    ("X^2", 3, 6),                      # power tail along the root 0
+    ("(4*X-1)^2", 3, 8),                # power tail along 1/4 (3-adic period 2)
     ("(X-1)^2+3^5", 3, 6),              # thickness-2 stem, dead end
     ("(X-1)^2+3^4", 3, 6),              # stem that stops outright
     ("(X-1)*(X-2)+5", 5, 4),            # two lifted branches

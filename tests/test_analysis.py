@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from padic_trunk import (
+    InsufficientDepthError,
     Polynomial,
+    QuadraticClass,
     X,
     brute_force,
     build_trunk,
@@ -182,6 +184,21 @@ def test_classification_agrees_with_trunk_shape():
         trunk = check_trunk(build_trunk(P, p, 2 * stem + 4))
         observed = quadratic_class_from_trunk(trunk)
         assert observed == expected, (str(P), p)
+
+
+def test_trunk_classification_raises_on_an_open_stem():
+    # (kind, stem) from the discriminants -4*3^8, 16*3^6 and -4*3^7
+    cases = [("(X-1)^2+3^8", "K0", 4), ("(X-1)^2-4*3^6", "K2", 3), ("(X-1)^2+3^7", "K1", 3)]
+    for text, kind, stem in cases:
+        P = parse(text)
+        assert classify_quadratic(P, 3) == QuadraticClass(kind, stem)
+        with pytest.raises(InsufficientDepthError, match="stem is still open at level 2"):
+            quadratic_class_from_trunk(build_trunk(P, 3, 2))
+        trunk = check_trunk(build_trunk(P, 3, 2 * stem + 4))
+        assert quadratic_class_from_trunk(trunk) == QuadraticClass(kind, stem)
+    # discriminant 0: power-certified at level 1
+    trunk = check_trunk(build_trunk(parse("(X-1)^2"), 3, 1))
+    assert quadratic_class_from_trunk(trunk) == QuadraticClass("Kinf", None)
 
 
 def test_k1_dead_end_property():

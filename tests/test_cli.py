@@ -32,7 +32,7 @@ def test_trunk_statuses_in_text(capsys):
     assert "(0,1) t=1 s=1 phi=1 hensel-certified" in out
     _, out, _ = run_cli(capsys, "trunk", "--poly", "X^2", "--prime", "3",
                         "--max-level", "4")
-    assert "cycle-certified(1)" in out
+    assert out.splitlines()[-1] == "└─ (0,1) t=2 s=2 phi=2 power-certified"
 
 
 def test_trunk_text_deep_branch(capsys):
@@ -59,9 +59,10 @@ def test_trunk_json(capsys):
     rows = [(n["r"], n["k"], n["t"], n["status"]) for n in payload["nodes"]]
     assert rows == [
         ("0", "0", None, "expanded"),
-        ("0", "1", "2", "expanded"),
-        ("0", "2", "2", "cycle-certified"),
+        ("0", "1", "2", "power-certified"),
     ]
+    assert payload["nodes"][1]["hensel_root"] == "0"
+    assert all("period" not in n for n in payload["nodes"])
 
 
 def test_trunk_dot(capsys):
@@ -69,7 +70,7 @@ def test_trunk_dot(capsys):
                            "--max-level", "4", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph trunk {")
-    assert '"n1_0" [label="(0,1) t=2 phi=2"' in out
+    assert '"n1_0" [label="(0,1) t=2 phi=2 power"' in out
     assert '"n0_0" -> "n1_0"' in out
     assert out.rstrip().endswith("}")
 

@@ -10,7 +10,9 @@ listings of 4096, 4097 and 8193 solutions, `solve-modulus-360-json` and
 `poincare-certified-json` were recorded while JSON still went through
 `json.dumps`; they pin the CLI's own writer at its block edges.  One
 more test runs every case again, after a usage error and a dot listing
-with fans, through the one parser that `main` keeps per process.
+with fans, through the one parser that `main` keeps per process.  The
+three `trunk-*-power` cases were recorded again when a certificate for
+powers of a linear polynomial replaced the search for repeated states.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -38,10 +40,10 @@ COMMANDS = {
                          "--max-level", "5", "--format", "json"],
     "trunk-dot-fans": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5",
                        "--format", "dot", "--with-fans", "4"],
-    "trunk-text-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6"],
-    "trunk-json-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
+    "trunk-text-power": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6"],
+    "trunk-json-power": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
                          "--format", "json"],
-    "trunk-dot-cycle": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
+    "trunk-dot-power": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
                         "--format", "dot"],
     "trunk-text-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4"],
     "trunk-json-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4",

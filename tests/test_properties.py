@@ -32,7 +32,7 @@ from padic_trunk import (
 from padic_trunk.cli import _all_digits, _write
 from padic_trunk.polynomial import ROOT_SCAN_LIMIT, _roots_by_gcd, roots_mod_p
 from padic_trunk.solver import _ball
-from padic_trunk.trunk import STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED, hensel_lift
+from padic_trunk.trunk import STATUS_POWER, hensel_lift
 
 from invariants import check_trunk
 
@@ -212,17 +212,18 @@ def _is_power_of_linear(P):
 
 @settings(deterministic, max_examples=200)
 @given(case=trunk_inputs(), max_level=st.integers(1, 14))
-def test_cycles_only_occur_for_powers_of_a_linear_polynomial(case, max_level):
-    # the reason build_trunk may keep every expanded state, not only the path's
+def test_power_certified_iff_a_linear_power_with_a_root_mod_p(case, max_level):
     P, p = case
     trunk = build_trunk(P, p, max_level)
-    if any(node.status == STATUS_CYCLE for node in trunk.iter_nodes()):
-        assert _is_power_of_linear(trunk.P0)
+    P0 = trunk.P0
+    expected = (P0.degree >= 2 and _is_power_of_linear(P0)
+                and any(P0.evaluate(x, p) == 0 for x in range(p)))
+    powers = [node for node in trunk.iter_nodes() if node.status == STATUS_POWER]
+    assert bool(powers) == expected
+    if powers:
+        [node] = powers
+        assert (node.k, node.t, node.s) == (1, P0.degree, P0.degree)
 
-
-# ----------------------------------------------------------------------
-# cycle certificates against a walk from the root
-# ----------------------------------------------------------------------
 
 def _ancestors(trunk, node):
     """Non-root vertices above node, root side first, found from the root."""
@@ -236,21 +237,49 @@ def _ancestors(trunk, node):
 
 @settings(deterministic, max_examples=150)
 @given(case=trunk_inputs(), max_level=st.integers(1, 14))
-def test_cycle_period_is_distance_to_nearest_equal_state(case, max_level):
+def test_no_vertex_repeats_an_ancestor_state(case, max_level):
+    # a state repeats only along P0 = c*(a*X - b)**n, which is certified at
+    # level 1: the reason build_trunk keeps no record of expanded states
     P, p = case
     trunk = build_trunk(P, p, max_level)
     for node in trunk.iter_nodes():
-        if node.status not in (STATUS_CYCLE, STATUS_EXPANDED, STATUS_UNDETERMINED):
-            continue
-        equal = [a for a in _ancestors(trunk, node)
-                 if (a.t, a.successor) == (node.t, node.successor)]
-        if node.status == STATUS_CYCLE:
-            match = equal[-1]
-            assert node.period == node.k - match.k
-            assert node.cycle_digits == tuple(
-                (node.r // p**q) % p for q in range(match.k, node.k))
-        else:
-            assert not equal
+        assert not [a for a in _ancestors(trunk, node)
+                    if (a.t, a.successor) == (node.t, node.successor)]
+
+
+@st.composite
+def linear_powers(draw):
+    """(P, p): P = c*(a*X - b)**n, a up to 10**5, c often divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    a = draw(st.integers(1, 10**5))
+    b = draw(st.integers(-10**5, 10**5))
+    c = draw(st.sampled_from([1, -1, 2, 3, -5])) * p ** draw(st.integers(0, 3))
+    return c * Polynomial([-b, a]) ** draw(st.integers(2, 6)), p
+
+
+@settings(deterministic, max_examples=150)
+@given(case=linear_powers())
+@example(case=(Polynomial([-1, 10007]) ** 2, 3))
+@example(case=(3 * Polynomial([-3, 6]) ** 3, 3))
+def test_linear_powers_resolve_at_level_one(case):
+    P, p = case
+    trunk = check_trunk(build_trunk(P, p, 1))
+    assert trunk.fully_resolved
+    e = 1
+    while p**e <= MAX_MODULUS:
+        _check_level(P, p, trunk, e)
+        e += 1
+    n, t0 = P.degree, trunk.t0
+    has_root = any(trunk.P0.evaluate(x, p) == 0 for x in range(p))
+    for e in range(t0 + 1, 401):
+        # a root mod p**(e - t0) needs v(a*x - b) >= ceil((e - t0) / n)
+        e1 = e - t0
+        expected = p**t0 * p**(e1 + e1 // -n) if has_root else 0
+        assert count_solutions(trunk, e) == expected, e
+    series = poincare_series(trunk)
+    assert series.certified
+    assert [c * p**e for e, c in enumerate(series.expand(30))] == [
+        count_solutions(trunk, e) for e in range(31)]
 
 
 # ----------------------------------------------------------------------
@@ -426,31 +455,25 @@ def test_doubling_lift_equals_the_digit_by_digit_reference(case, e):
 
 
 # ----------------------------------------------------------------------
-# cycle tails against the digit-by-digit reference
+# power tails against the rational root
 # ----------------------------------------------------------------------
 
-def digit_loop_ball(p, node, k):
-    """The residue mod p**k on node's cycle tail, one repeating base-p digit a level."""
-    digits = node.cycle_digits
-    r, pq = node.r, p**node.k
-    for q in range(k - node.k):
-        r += digits[q % len(digits)] * pq
-        pq *= p
-    return r
-
-
-#: one cycle-certified vertex each, with periods 1, 1, 2, 2, 3, 3, 3 and 4
-CYCLES = [("(4X-1)^2", 5), ("(2X-1)^2", 3), ("(3X-1)^2", 2), ("(4X-1)^2", 3),
+#: one power-certified vertex each; the p-adic digits of the roots b/a
+#: repeat with periods 1, 1, 2, 2, 3, 3, 3 and 4
+POWERS = [("(4X-1)^2", 5), ("(2X-1)^2", 3), ("(3X-1)^2", 2), ("(4X-1)^2", 3),
           ("(7X-1)^2", 2), ("(13X-1)^2", 3), ("(7X-3)^3", 2), ("(5X-2)^2", 2)]
 
 
-@pytest.mark.parametrize("text, p", CYCLES)
-def test_cycle_tail_equals_the_digit_loop_reference(text, p):
+@pytest.mark.parametrize("text, p", POWERS)
+def test_power_tail_equals_the_rational_root_reference(text, p):
+    a, b = map(int, re.fullmatch(r"\((\d+)X-(\d+)\)\^\d", text).groups())
+    root = Fraction(b, a)
     [node] = [n for n in build_trunk(parse(text), p, 12).iter_nodes()
-              if n.status == STATUS_CYCLE]
+              if n.status == STATUS_POWER]
     for k in [*range(node.k, node.k + 40), 997, 1000, 1999, 2000]:
         ball = _ball(p, node, k)
-        assert (ball.r, ball.k) == (digit_loop_ball(p, node, k), k), k
+        expected = root.numerator * pow(root.denominator, -1, p**k) % p**k
+        assert (ball.r, ball.k) == (expected, k), k
 
 
 # ----------------------------------------------------------------------

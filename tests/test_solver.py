@@ -43,7 +43,8 @@ def test_exact_integer_root_solves_every_level(checked_build):
 
 
 #: (P, p, e) with Hensel tails (simple roots, some p-adically irrational)
-#: and cycle tails, queried far past the built depth
+#: and power tails (roots of linear factors, with long p-adic periods),
+#: queried far past the built depth
 DEEP_MEMBERSHIP = [
     ("(X-5)*(X^2-2)", 7, 1500),
     ("(X+17)*(X^2+X+3)*(X^2+2)", 5, 1100),
@@ -52,6 +53,8 @@ DEEP_MEMBERSHIP = [
     ("(4*X-1)^2", 3, 700),
     ("(4*X-1)^2", 5, 901),
     ("X^2", 3, 1000),
+    ("(10007*X-1)^2", 3, 1200),
+    ("(101*X-7)^2", 2, 999),
 ]
 
 
@@ -71,7 +74,7 @@ def test_is_solution_matches_evaluation_on_deep_tails(monkeypatch, text, p, e):
         queries += [ball.r, ball.r - m, ball.r + (ball.r * 7 + 1) % (m // p**ball.k) * p**ball.k]
         queries += [ball.r + c * p**(e - 1) for c in range(1, min(p, 4))]
         queries.append(ball.r + p**(ball.k - 1))
-    # membership evaluates the tail's successor once, with no lift
+    # membership evaluates the vertex's tail once, with no lift
     monkeypatch.setattr("padic_trunk.solver.hensel_lift", None)
     answers = {x: is_solution(trunk, x, e) for x in queries}
     assert answers == {x: P.evaluate(x, m) == 0 for x in queries}

@@ -17,10 +17,10 @@ from padic_trunk import (
     val_p,
 )
 from padic_trunk.trunk import (
-    STATUS_CYCLE,
     STATUS_EXPANDED,
     STATUS_HENSEL,
     STATUS_LEAF,
+    STATUS_POWER,
 )
 
 from conftest import TRUNK_CASES
@@ -175,15 +175,20 @@ def test_trunk_simple_root(checked_build):
     assert node.hensel_root == 0
 
 
-def test_trunk_cycle(checked_build):
+def test_trunk_power(checked_build):
     trunk = checked_build("X^2", 3, 6)
     nodes = list(trunk.iter_nodes())
-    assert [(n.r, n.k, n.t, n.status) for n in nodes] == [
-        (0, 1, 2, STATUS_EXPANDED),
-        (0, 2, 2, STATUS_CYCLE),
-    ]
-    assert nodes[1].period == 1
-    assert nodes[1].cycle_digits == (0,)
+    assert [(n.r, n.k, n.t, n.status) for n in nodes] == [(0, 1, 2, STATUS_POWER)]
+    assert (nodes[0].tail, nodes[0].hensel_root) == (X, 0)
+    # 3*(4X - 1)**2 at 3: root 1, and 4*(1 + 3X) - 1 = 3*(4X + 1)
+    trunk = checked_build("3*(4*X-1)^2", 3, 1)
+    assert trunk.t0 == 1 and trunk.fully_resolved
+    [node] = trunk.iter_nodes()
+    assert (node.r, node.k, node.t, node.phi, node.status) == (1, 1, 2, 2, STATUS_POWER)
+    assert (node.tail, node.hensel_root) == (4 * X + 1, 2)
+    # only a linear power of degree >= 2 with a root mod p
+    for text, p in [("X", 3), ("(X-1)^2*(X-2)", 3), ("(3X-1)^2", 3), ("X^2+3", 3)]:
+        assert STATUS_POWER not in {n.status for n in build_trunk(parse(text), p, 4).iter_nodes()}
 
 
 def test_trunk_split_branches(checked_build):
@@ -247,19 +252,23 @@ def test_hensel_certified_branches_continue_with_thickness_one(fixture_trunks):
                 assert len(roots) == 1
 
 
-def test_cycle_certified_branches_repeat_their_state(fixture_trunks):
+def test_power_certified_branches_follow_the_lifted_tail(fixture_trunks):
+    powers = 0
     for _, p, trunk in fixture_trunks:
         for node in trunk.iter_nodes():
-            if node.status != STATUS_CYCLE:
+            if node.status != STATUS_POWER:
                 continue
-            Q, t = node.successor, node.t
-            for step in range(node.period):
+            powers += 1
+            depth = 2 * node.t + 3
+            y = hensel_lift(node.tail, node.hensel_root, p, depth)
+            Q = node.successor
+            for level in range(depth):
                 red = Q.reduce_mod(p)
                 roots = [x for x in range(p) if red.evaluate(x, p) == 0]
-                assert len(roots) == 1, "cycles must be single branches"
-                assert roots[0] == node.cycle_digits[step]
+                assert roots == [y // p**level % p], "one root: the tail's digit"
                 t, Q = thickness(Q, roots[0], p)
-            assert (Q, t) == (node.successor, node.t)
+                assert t == node.t
+    assert powers == 2
 
 
 def test_random_trunks_pass_invariants():
@@ -303,57 +312,59 @@ def test_children_agree_with_thickness_and_residual_degree_of_their_parent():
 
 # (poly, p, max_level) -> SHA-256 of the preorder vertex list and the
 # vertex count per status, both taken from the root down.  Recorded with
-# the earlier ancestor-scan builder and per-coefficient p_content.
+# the earlier ancestor-scan builder and per-coefficient p_content; the
+# two linear powers X^2 and (4*X-1)^2 again when their level-1 vertex
+# became power-certified.
 GOLDEN_TRUNKS = {
     ("(X^2+3)*(X^2+3*X+9)", 3, 5): (
-        "9ee9a9173ae966289b97130f0a0c2ec497551f251b79fe9127610035feb80609",
+        "2bab217eab5a6c56b754bd8e9e9119c198a1827eed95a96f12e82e80bad767d9",
         {"expanded": 2, "leaf": 1}),
     ("X*(X-1)^2+25", 5, 5): (
-        "05a5246c911788e2596aff07d67711f9c15adb658c1fe561945aef176ce6dab5",
+        "3d283e4bcee02be231af21dd7a90bfa3cbec525db14f3ab1262c8494c26b8d18",
         {"expanded": 2, "hensel-certified": 3}),
     ("X", 5, 3): (
-        "cd2254bdb31ac7ffa0a894d9435d25e157c58c9933115187fb433ceba7bc5135",
+        "dc41a8cc6492110866f72053a53e4ddb44854e09b727b736e3ea5f297f38f08a",
         {"expanded": 1, "hensel-certified": 1}),
     ("X^2", 3, 6): (
-        "62fe715a4d34737d7b2f6cf254af7d51db7a288c753f7a01114ce5c97ba24787",
-        {"cycle-certified": 1, "expanded": 2}),
+        "26a5c2cddc6c9a44990f96f278ee933eaaacd243bbb84d26f0a3de90530527d7",
+        {"expanded": 1, "power-certified": 1}),
     ("(4*X-1)^2", 3, 8): (
-        "01ae740da90e287c347aafba1176dd772dc6719d3e3182914ebec6580f3c41b6",
-        {"cycle-certified": 1, "expanded": 3}),
+        "a728b9041b8ab0eb0ecbf0b39777f86a72a8875d6d888bd71f3c2659b2ee3f4f",
+        {"expanded": 1, "power-certified": 1}),
     ("(X-1)^2+3^5", 3, 6): (
-        "93c2df111e7ece9dd107b6a59395a23b1ed0ec299a624ce3ad5a79c215a9a776",
+        "48e4063914f352dd69e45b29d540f833822df44ed9b844a7a7941ca765f947c9",
         {"expanded": 3, "leaf": 1}),
     ("(X-1)^2+3^4", 3, 6): (
-        "fed144832123a6227794492ab7243f27fb4a34d1d84ecd3809d5aa488fa4d8bb",
+        "b101d7dad83bca1c63b734a24b28b916b6693ca6498cc9fc827b236f5de43287",
         {"expanded": 2, "leaf": 1}),
     ("(X-1)*(X-2)+5", 5, 4): (
-        "6c6ba8f602e2896bf32f0266bd28e3c56458560f0180bed4dcd4ece47a7b6cf5",
+        "98159fdd387ded94b023773f5c4fd188096464fbad4acba814e5f9991675094e",
         {"expanded": 1, "hensel-certified": 2}),
     ("(X^2-17)^2", 13, 3): (
-        "362df7e0c25e7d559550bfe46669c388f466a017d453a87976daeec5e0a62363",
+        "a25db5de6b46b51fb368525a25e7754a760d5269b5b8ec276db83e7d57c1f9ea",
         {"expanded": 5, "undetermined": 2}),
     ("9*X^2+9", 3, 3): (
-        "214dc4ca4ef10a566fc7de3ce157ed6368dc03af969994671894408380cc4f54",
+        "2a59f05158a2a1de73defe410ee59f097666d962327849ca839c470b2fa0d367",
         {"leaf": 1}),
     ("7", 7, 2): (
-        "cf4ae9f60cbb36dff317e9dbb75a352876fd2145be4a33998af440bcf39f78fe",
+        "9c9897036464a9cbe4b6e2d7d79806186ff8ca05324706b7291279892245152b",
         {"leaf": 1}),
     ("X^2+1", 3, 3): (
-        "4a75024d87da1b00dd885b742da094e5d3f252400439a6b117edb77360af47fb",
+        "9c362a1747fef9df21e33e5f55c84841dc53164ad95ff32514ff108f532c5417",
         {"leaf": 1}),
     ("(X^2-17)^2", 13, 60): (
-        "dcfb73aa3db9d63cbfa739a0e265cbea429394823519ad95a166a73a0818ac70",
+        "73ba87ecf7546699eff4961e3e4657817130002cdd72076ffdb4771e5d4c4c57",
         {"expanded": 119, "undetermined": 2}),
     ("X^4*(X-1)^3*(X+1)^2", 2, 40): (
-        "839bce0b06f397666843de6af948aace442cb057b9783fd797559988a38ed5d4",
+        "3e4fc3fd67283af355e31754bc17a88cbca21b3f187568a2539cb397987c1040",
         {"expanded": 117, "undetermined": 3}),
 }
 
 
 def trunk_snapshot(trunk):
     nodes = [trunk.root, *trunk.iter_nodes()]
-    rows = [(n.r, n.k, n.t, n.phi, n.s, n.status, n.hensel_root, n.period,
-             n.cycle_digits, n.successor.coeffs) for n in nodes]
+    rows = [(n.r, n.k, n.t, n.phi, n.s, n.status, n.hensel_root,
+             n.successor.coeffs) for n in nodes]
     digest = hashlib.sha256(repr((trunk.t0, rows)).encode()).hexdigest()
     return digest, dict(Counter(n.status for n in nodes))
 
