@@ -3,10 +3,13 @@
 The counts N_e assemble into the series S(u) = sum N_e * (u/p)**e with
 N_0 = 1.  In the variable w = u/p every coefficient is the integer N_e,
 so the series is built with integer polynomial algebra in w: each
-vertex contributes its level window, and each certified infinite branch
-a geometric tail over 1 - p**(t-1) * w**t, which is (1 - u**t / p) for
-its constant continuation thickness t.  When every trunk branch is
-finished or certified infinite, that rational function is S(u) exactly.
+vertex contributes its level window (the root's is e <= t0), and each
+certified infinite branch a geometric tail over 1 - p**(t-1) * w**t,
+which is (1 - u**t / p) for its constant continuation thickness t.  When
+every trunk branch is finished or certified infinite, that rational
+function is S(u) exactly, with one denominator factor per distinct tail
+thickness and already in lowest terms (the rational form of Denef,
+Invent. Math. 77, 1984).
 """
 
 from __future__ import annotations
@@ -47,14 +50,6 @@ def _series_quotient(num, den, horizon: int) -> list:
     return coeffs
 
 
-def _div_exact(num: Polynomial, f: Polynomial) -> Polynomial | None:
-    """num / f when f (constant term 1) divides num exactly, else None."""
-    if num.degree < f.degree:
-        return None
-    quotient = Polynomial(_series_quotient(num.coeffs, f.coeffs, num.degree - f.degree))
-    return quotient if quotient * f == num else None
-
-
 def _to_u(coeffs, p: int) -> tuple[Fraction, ...]:
     # the coefficient of w**e is the coefficient of u**e times p**e
     return tuple(Fraction(c, p**e) for e, c in enumerate(coeffs))
@@ -74,7 +69,8 @@ class RationalSeries:
     denominator: tuple[Fraction, ...]
     certified: bool
     truncation: tuple[Fraction, ...] | None = None
-    #: (a, b) pairs for the surviving denominator factors 1 - u**a / p**b
+    #: (t, 1) for the factor 1 - u**t / p of each distinct certified-tail
+    #: thickness t; the denominator is their product, in lowest terms
     denominator_factors: tuple[tuple[int, int], ...] = ()
 
     def expand(self, horizon: int) -> list[Fraction]:
@@ -95,13 +91,15 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
     """S(u) from one pass over the trunk, in integer algebra in w = u/p.
 
     At level e a vertex accounts for the p**(e-j) solutions of one ball
-    modulo p**j, j = k + ceil((e - phi) / t) (the solver's rule): j = k
-    on its window phi-t < e <= phi, and on a certified tail one level
-    deeper for each further t levels.  Each period of a tail is the one
-    before times p**(t-1) * w**t, so the tail is its first period,
-    phi < e <= phi+t, over 1 - p**(t-1) * w**t.  The terms are summed
-    into one integer list per denominator and combined over the common
-    denominator, and the factors that divide the numerator are cancelled.
+    modulo p**j (the solver's rule).  The root's window is e <= t0, where
+    P = p**t0 * P0 solves all p**e residues; every other vertex sits t0
+    levels down, at the levels of P: j = k on its window
+    phi-t < e-t0 <= phi, and on a certified tail one level deeper for each
+    further t levels.  Each period of a tail is the one before times
+    p**(t-1) * w**t, so the tail is its first period over
+    1 - p**(t-1) * w**t.  The terms are summed into one integer list per
+    denominator and combined over the product of the denominators, which
+    is already in lowest terms.
 
     When the trunk has undetermined branches the result is a truncated
     coefficient list (never an error): the same rational function
@@ -111,14 +109,14 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
     """
     p, t0 = trunk.p, trunk.t0
     certified = trunk.fully_resolved
-    # sums[0] = 1 plus every window; sums[t] = the tails of thickness t
-    sums: dict[int, list[int]] = {0: [1]}
+    # sums[0] = the root's and every vertex's window; sums[t] = the tails of thickness t
+    sums: dict[int, list[int]] = {0: [p**e for e in range(t0 + 1)]}
     powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
     for node in trunk.iter_nodes():
-        k, t, phi = node.k, node.t, node.phi
+        k, t, phi = node.k, node.t, node.phi + t0
         last = phi + t if node.status in CERTIFIED else phi
         if not certified:
-            last = min(last, trunk.built_depth)
+            last = min(last, t0 + trunk.built_depth)
         while len(powers) <= last - k:
             powers.append(powers[-1] * p)
         for e in range(phi - t + 1, last + 1):
@@ -127,34 +125,20 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
             # p**(e - j) for the ball level j = k + ceil((e - phi) / t)
             coeffs[e] += powers[e - k + (phi - e) // t]
 
+    # No factor divides the numerator, so the fraction is reduced:
+    #  * the tails of thickness t sum to sums[t] / factor_t, whose
+    #    coefficients are positive at every level past their phi, so it is
+    #    not a polynomial and factor_t does not divide sums[t];
+    #  * p - u**t is Eisenstein at p, so the factors are irreducible and
+    #    pairwise coprime, and factor_t divides no other term's product;
+    #  * w**t0, the shift of P0's levels to P's, is coprime to every factor.
     factors = {t: Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
                for t in sorted(sums) if t}
-    numerator = Polynomial()
-    for key, coeffs in sums.items():
-        term = Polynomial(coeffs)
-        for t, factor in factors.items():
-            if t != key:
-                term = term * factor
-        numerator = numerator + term
-
-    # p - u**t is Eisenstein at p, so the factors are irreducible and
-    # pairwise coprime: one division attempt per factor settles it
-    denominator = Polynomial([1])
-    kept: list[tuple[int, int]] = []
+    numerator, denominator = Polynomial(sums[0]), Polynomial([1])
     for t, factor in factors.items():
-        quotient = _div_exact(numerator, factor)
-        if quotient is None:
-            denominator = denominator * factor
-            kept.append((t, 1))
-        else:
-            numerator = quotient
-
-    if t0:
-        # p**t0 * P0 solves every level e < t0 outright and N_(t0+e) is
-        # p**t0 times the count for P0:  S = sum_(e<t0) u**e + u**t0 * S0,
-        # where u**e = p**e * w**e
-        head = Polynomial([p**e for e in range(t0)])
-        numerator = head * denominator + numerator * Polynomial([0] * t0 + [p**t0])
+        # numerator / denominator + sums[t] / factor, over the product
+        numerator = numerator * factor + Polynomial(sums[t]) * denominator
+        denominator = denominator * factor
 
     if not certified:
         coeffs = _to_u(_series_quotient(numerator.coeffs, denominator.coeffs,
@@ -164,7 +148,7 @@ def poincare_series(trunk: Trunk) -> RationalSeries:
     return RationalSeries(numerator=_to_u(numerator.coeffs, p),
                           denominator=_to_u(denominator.coeffs, p),
                           certified=True,
-                          denominator_factors=tuple(kept))
+                          denominator_factors=tuple((t, 1) for t in factors))
 
 
 # ----------------------------------------------------------------------

@@ -253,10 +253,10 @@ def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
     # levels past phi >= e never reach the answer at e
     trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
     count = count_solutions(trunk, e)
-    decomposition = ball_decomposition(trunk, e) if args.balls and e >= 1 else None
+    decomposition = ball_decomposition(trunk, e) if args.balls else None
     solutions = None
     if not args.count_only and not args.balls:
-        solutions = [0] if e == 0 else enumerate_solutions(trunk, e)
+        solutions = enumerate_solutions(trunk, e)
 
     def render() -> str:
         if args.format == "text":

@@ -90,11 +90,10 @@ class _Parser:
 
     def parse(self):
         node = self.expr()
-        kind, value, at = self.peek()
+        # expr returns only at ")" or the end: every other token goes on a sum or a term
+        kind, _, at = self.peek()
         if kind != "end":
-            if kind == "op" and value == ")":
-                raise ParseError("unbalanced parenthesis", at)
-            raise ParseError(f"unexpected token {value!r}", at)
+            raise ParseError("unbalanced parenthesis", at)
         return node
 
     def expr(self):

@@ -50,9 +50,7 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int, budget: int) -> int | None:
-    """Floyd-cycle rho with deterministic constants; None if budget runs out."""
-    if n % 2 == 0:
-        return 2
+    """Floyd-cycle rho on an odd composite n: a divisor 1 < d < n, None if budget runs out."""
     for c in range(1, 20):
         x = y = 2
         d = 1
@@ -93,13 +91,11 @@ def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 200_000) ->
         stack = [m]
         while stack:
             v = stack.pop()
-            if v == 1:
-                continue
             if is_prime(v):
                 factors[v] = factors.get(v, 0) + 1
                 continue
             g = _pollard_rho(v, rho_budget)
-            if g is None or g == v:
+            if g is None:
                 raise FactorizationError(f"could not factor {v} within the configured effort")
             stack.append(g)
             stack.append(v // g)

@@ -6,10 +6,12 @@ phi - t < e <= phi, where it contributes the full residue class
 r mod p**k, i.e. p**(e-k) solutions.  A certified infinite branch goes
 on past phi with one vertex per level and thickness t per level, so at
 level e it contributes one class modulo p**(k + ceil((e - phi) / t)).
-Every query reads its answer off one pass over these windows: counting
-sums the ball sizes, ball listings lift the simple root of a certified
-vertex's tail, and membership evaluates that tail once.  Composite moduli
-are handled by factoring and recombining with the Chinese remainder theorem.
+These are levels of P's content-free part; the root's window is the
+levels up to P's content exponent, where every x solves.  Every query reads its answer off one
+pass over these windows: counting sums the ball sizes, ball listings
+lift the simple root of a certified vertex's tail, and membership
+evaluates that tail once.  Composite moduli are handled by factoring and
+recombining with the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -75,14 +77,20 @@ class CrtSolution:
     factors: list[tuple[PrimePower, SolutionSet]]
 
 
-def _windows(trunk: Trunk, e1: int) -> list[tuple[TrunkNode, int]]:
-    """(node, k) for every vertex accounting for level e1 of the trunk of P0.
+def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
+    """(node, k) for every vertex accounting for level e of P = p**t0 * P0.
 
-    The vertex contributes one ball modulo p**k: its own class when
+    The vertex contributes one ball modulo p**k.  For e <= t0, e = 0
+    included, P vanishes modulo p**e everywhere: that is the root's window,
+    the one class 0 mod p**0.  Past t0 the vertex data refers to P0 at
+    level e1 = e - t0: a vertex contributes its own class when
     phi - t < e1 <= phi, and on a certified tail past phi the class one
     level deeper for each further t levels.  Raises InsufficientDepthError
     when an undetermined branch stops short of e1.
     """
+    e1 = e - trunk.t0
+    if e1 <= 0:
+        return [(trunk.root, 0)]
     windows = []
     short = None
     for node in trunk.iter_nodes():
@@ -128,11 +136,7 @@ def is_solution(trunk: Trunk, x: int, e: int) -> bool:
     """Decide P(x) = 0 (mod p**e) from the trunk alone."""
     if e < 0:
         raise ValueError("e must be non-negative")
-    e1 = e - trunk.t0
-    if e1 <= 0:
-        return True
-    p = trunk.p
-    return any(_contains(p, node, k, x) for node, k in _windows(trunk, e1))
+    return any(_contains(trunk.p, node, k, x) for node, k in _windows(trunk, e))
 
 
 def _contains(p: int, node: TrunkNode, k: int, x: int) -> bool:
@@ -150,32 +154,22 @@ def _contains(p: int, node: TrunkNode, k: int, x: int) -> bool:
 def count_solutions(trunk: Trunk, e: int) -> int:
     """The number N_e of solutions modulo p**e, without enumerating.
 
-    N_0 = 1 by convention.  This never materializes continuations, so it
-    stays cheap even for very large e.
+    N_0 = 1: the root's class is the one residue modulo p**0.  This never
+    materializes continuations, so it stays cheap even for very large e.
     """
     if e < 0:
         raise ValueError("e must be non-negative")
-    if e == 0:
-        return 1
-    p, t0 = trunk.p, trunk.t0
-    if e <= t0:
-        return p ** e
-    e1 = e - t0
-    return p**t0 * sum(p ** (e1 - k) for _, k in _windows(trunk, e1))
+    return sum(trunk.p ** (e - k) for _, k in _windows(trunk, e))
 
 
 def ball_decomposition(trunk: Trunk, e: int) -> SolutionSet:
     """The solutions modulo p**e as pairwise disjoint balls."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    p, t0 = trunk.p, trunk.t0
-    if e <= t0:
-        # p**t0 * P0 vanishes automatically modulo p**e: everything solves
-        return SolutionSet(p=p, e=e, balls=[SolutionBall(0, 0)], count=p**e)
-    balls = sorted((_ball(p, node, k) for node, k in _windows(trunk, e - t0)),
+    if e < 0:
+        raise ValueError("e must be non-negative")
+    p = trunk.p
+    balls = sorted((_ball(p, node, k) for node, k in _windows(trunk, e)),
                    key=lambda b: (b.k, b.r))
-    count = sum(p ** (e - ball.k) for ball in balls)
-    return SolutionSet(p=p, e=e, balls=balls, count=count)
+    return SolutionSet(p=p, e=e, balls=balls, count=sum(p ** (e - b.k) for b in balls))
 
 
 def enumerate_solutions(trunk: Trunk, e: int, *, budget: int = DEFAULT_BUDGET) -> list[int]:

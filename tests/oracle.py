@@ -1,0 +1,129 @@
+"""A deep oracle for the trunk's answers, independent of the trunk.
+
+It lifts the solution set of P(x) = 0 (mod p**e) one base-p digit per
+level: the solutions modulo p**(j+1) are the x + d*p**j with x a solution
+modulo p**j, d in [0, p) and P(x + d*p**j) = 0 modulo p**(j+1).  It calls
+only Polynomial.evaluate and knows nothing of thickness, windows,
+certificates or roots mod p.  A level costs p * N_j evaluations, so the
+oracle goes deep wherever the solution set stays small, far past the
+p**e <= 5000 that brute force over [0, p**e) reaches.
+
+The property test in test_properties.py runs check_case on a few dozen
+inputs.  A larger seeded run is a script:
+
+    PYTHONPATH=src python tests/oracle.py --seed 20261018 --cases 400
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import time
+
+from padic_trunk import (
+    InsufficientDepthError,
+    Polynomial,
+    ball_decomposition,
+    build_trunk,
+    count_solutions,
+    enumerate_solutions,
+    is_solution,
+)
+
+PRIMES = (2, 3, 5, 7, 13, 101, 1009)
+#: the level every checked trunk is built to
+BUILT_DEPTH = 40
+#: the deepest level compared
+MAX_E = 200
+#: a case stops once a level has more solutions than this ...
+MAX_SOLUTIONS = 2000
+#: ... or once lifting the next level would pass this many evaluations in all;
+#: at p = 1009 a level of 2000 solutions alone takes 2 million
+MAX_EVALUATIONS = 1_000_000
+#: brute force over [0, p**e) reaches this modulus in the other property tests
+BRUTE_FORCE_MODULUS = 5000
+
+
+def lifted_levels(P: Polynomial, p: int, max_e: int):
+    """(e, sorted solutions modulo p**e) for e = 0, 1, ..., until a budget runs out."""
+    level, pj, evaluations = [0], 1, 0
+    for e in range(max_e + 1):
+        yield e, level
+        evaluations += p * len(level)
+        if len(level) > MAX_SOLUTIONS or evaluations > MAX_EVALUATIONS:
+            return
+        m = pj * p
+        level = sorted(x + d * pj for x in level for d in range(p)
+                       if P.evaluate(x + d * pj, m) == 0)
+        pj = m
+
+
+def random_case(rng: random.Random) -> tuple[Polynomial, int]:
+    """(P, p): content 1, p or p**2 times up to three powers of linear factors.
+
+    Leading coefficients run up to p, so some factors have no root mod p,
+    and a factor's root often agrees with the previous one to a few digits.
+    """
+    p = rng.choice(PRIMES)
+    P = Polynomial([rng.choice([1, p, p * p])])
+    b = rng.randint(-p * p, p * p)
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(1, p)
+        b = b + p ** rng.randint(1, 4) if rng.random() < 0.5 else rng.randint(-p * p, p * p)
+        P = P * Polynomial([-b, a]) ** rng.randint(1, 3)
+    return P, p
+
+
+def check_case(P: Polynomial, p: int, rng: random.Random) -> tuple[int, int]:
+    """Compare a trunk of P built to BUILT_DEPTH with the oracle, level by level.
+
+    At each level: the count, the sorted listing, and for each ball its r,
+    a random member and the neighbour r + p**(k-1) outside it, each both in
+    the oracle's set as expected and by is_solution.  Returns the number of
+    levels compared and how many of them are past brute force's reach.
+    """
+    trunk = build_trunk(P, p, BUILT_DEPTH)
+    levels = deep = 0
+    for e, expected in lifted_levels(P, p, MAX_E):
+        m = p**e
+        try:
+            count = count_solutions(trunk, e)
+        except InsufficientDepthError:
+            # only a branch left open at the built depth may stop the trunk
+            assert e > BUILT_DEPTH + trunk.t0, (P, p, e)
+            break
+        assert count == len(expected), (P, p, e)
+        assert enumerate_solutions(trunk, e) == expected, (P, p, e)
+        solutions = set(expected)
+        for ball in ball_decomposition(trunk, e).balls:
+            pk = p**ball.k
+            member = ball.r + rng.randrange(m // pk) * pk
+            assert ball.r in solutions and member in solutions, (P, p, e, ball)
+            xs = [ball.r, member] + ([(ball.r + pk // p) % m] if ball.k else [])
+            for x in xs:
+                assert is_solution(trunk, x, e) == (x in solutions), (P, p, e, x)
+        levels += 1
+        deep += m > BRUTE_FORCE_MODULUS
+    return levels, deep
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description="Check random trunks against the digit-lifting oracle.")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cases", type=int, default=100)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    start = time.perf_counter()
+    levels = deep = 0
+    for _ in range(args.cases):
+        P, p = random_case(rng)
+        checked, past = check_case(P, p, rng)
+        levels += checked
+        deep += past
+    print(f"{args.cases} cases: {levels} levels agree, {deep} of them past"
+          f" p**e = {BRUTE_FORCE_MODULUS}, in {time.perf_counter() - start:.1f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -96,6 +96,10 @@ def test_series_truncated_when_branches_stay_open(checked_build):
     assert series.expand(2) == list(series.truncation[:3])
     with pytest.raises(ValueError, match="truncat"):
         series.expand(len(series.truncation))
+    with pytest.raises(ValueError, match="non-negative"):
+        series.expand(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        poincare_series(checked_build("X^2", 3, 2)).expand(-1)
 
 
 def test_series_with_content_shift(checked_build):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from padic_trunk import build_trunk, parse
+from padic_trunk import cli
 from padic_trunk.cli import main
 
 
@@ -87,6 +88,23 @@ def test_trunk_dot_with_fans(capsys):
     # trunk edges are not duplicated as fan edges
     assert out.count('"n1_0" -> "n2_3"') == 1
 
+
+def test_trunk_dot_fans_refuse_content(capsys):
+    code, out, err = run_cli(capsys, "trunk", "--poly", "3*X^2", "--prime", "3",
+                             "--max-level", "3", "--format", "dot", "--with-fans", "2")
+    assert code == 1 and out == ""
+    assert "--with-fans requires a polynomial not divisible by p" in err
+
+
+def test_trunk_dot_fans_stop_at_the_first_level_without_solutions(capsys, monkeypatch):
+    levels = []
+    enumerate_solutions = cli.enumerate_solutions
+    monkeypatch.setattr(cli, "enumerate_solutions",
+                        lambda trunk, e: levels.append(e) or enumerate_solutions(trunk, e))
+    code, out, _ = run_cli(capsys, "trunk", "--poly", "X^2+1", "--prime", "3",
+                           "--max-level", "3", "--format", "dot", "--with-fans", "3")
+    assert code == 0 and levels == [1]
+    assert "f1_" not in out
 
 def test_byte_identical_structured_output(capsys):
     args = ("solve", "--poly", "X^2+11", "--modulus", "15", "--format", "json")

@@ -13,6 +13,8 @@ more test runs every case again, after a usage error and a dot listing
 with fans, through the one parser that `main` keeps per process.  The
 three `trunk-*-power` cases were recorded again when a certificate for
 powers of a linear polynomial replaced the search for repeated states.
+The two `solve-exp-zero-balls` cases were added when e = 0 became an
+ordinary level: its one ball is the root's class 0 mod p^0.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -68,6 +70,10 @@ COMMANDS = {
     "solve-hensel-tail": ["solve", "--poly", "X*(X-1)^2+25", "--prime", "5",
                           "--exp", "40"],
     "solve-exp-zero": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "0"],
+    "solve-exp-zero-balls": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "0",
+                             "--balls"],
+    "solve-exp-zero-balls-json": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "0",
+                                  "--balls", "--format", "json"],
     "solve-modulus-15": ["solve", "--poly", "X^2+11", "--modulus", "15"],
     "solve-modulus-15-balls": ["solve", "--poly", "X^2+11", "--modulus", "15", "--balls"],
     "solve-modulus-360": ["solve", "--poly", "X^2-1", "--modulus", "360"],

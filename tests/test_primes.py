@@ -20,6 +20,13 @@ def test_is_prime_strong_pseudoprimes_and_carmichael():
     assert is_prime(10**18 + 9)
 
 
+
+def test_is_prime_at_the_deterministic_limit():
+    # 1287836182261 * 2575672364521 is a strong pseudoprime to all twelve
+    # fixed bases: only the extra bases seeded from n reject it
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1)
+
 def test_factorize_trial_division():
     assert factorize(2) == [(2, 1)]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]

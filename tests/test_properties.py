@@ -35,6 +35,7 @@ from padic_trunk.solver import _ball
 from padic_trunk.trunk import STATUS_POWER, hensel_lift
 
 from invariants import check_trunk
+from oracle import check_case, random_case
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
 #: largest modulus p**e compared against brute force
@@ -280,6 +281,58 @@ def test_linear_powers_resolve_at_level_one(case):
     assert series.certified
     assert [c * p**e for e, c in enumerate(series.expand(30))] == [
         count_solutions(trunk, e) for e in range(31)]
+
+
+# ----------------------------------------------------------------------
+# the Poincaré series comes out in lowest terms
+# ----------------------------------------------------------------------
+
+def _mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _div_exact(num, f):
+    """num / f for coefficient lists with f[0] == 1 when f divides num, else None."""
+    if len(num) < len(f):
+        return None
+    rest, quotient = list(num), []
+    for i in range(len(num) - len(f) + 1):
+        quotient.append(rest[i])
+        for j, c in enumerate(f):
+            rest[i + j] -= quotient[i] * c
+    return None if any(rest) else quotient
+
+
+@settings(deterministic, max_examples=150)
+@given(case=st.one_of(trunk_inputs(), linear_powers()), max_level=st.integers(1, 6))
+def test_certified_series_is_reduced_with_one_factor_per_tail_thickness(case, max_level):
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    assume(trunk.fully_resolved)
+    series = poincare_series(trunk)
+    thicknesses = sorted({n.t for n in trunk.iter_nodes() if n.tail is not None})
+    assert series.denominator_factors == tuple((t, 1) for t in thicknesses)
+    factors = [[Fraction(1)] + [Fraction(0)] * (t - 1) + [Fraction(-1, p)] for t in thicknesses]
+    denominator = [Fraction(1)]
+    for factor in factors:
+        denominator = _mul(denominator, factor)
+    assert series.denominator == tuple(denominator)
+    assert all(_div_exact(series.numerator, factor) is None for factor in factors)
+
+
+# ----------------------------------------------------------------------
+# the trunk against the digit-lifting oracle, past brute force's reach
+# ----------------------------------------------------------------------
+
+@settings(deterministic, max_examples=60)
+@given(rng=st.randoms(use_true_random=False))
+def test_trunk_answers_match_the_lifting_oracle_at_depth(rng):
+    P, p = random_case(rng)
+    check_case(P, p, rng)
 
 
 # ----------------------------------------------------------------------

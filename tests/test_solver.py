@@ -148,6 +148,28 @@ def test_ball_count_bounded_by_tips(fixture_trunks):
             assert len(decomposition.balls) <= max(trunk.d_trunk, 1)
 
 
+#: trunks with t0 = 0 (one with no roots at all) and with t0 = 2 and 1
+LEVEL_ZERO_TRUNKS = [("X^2+1", 3), ("(X^2+3)*(X^2+3X+9)", 3), ("9*X^2+9", 3), ("7", 7)]
+
+
+@pytest.mark.parametrize("text, p", LEVEL_ZERO_TRUNKS)
+def test_level_zero_is_the_root_class(checked_build, text, p):
+    trunk = checked_build(text, p, 3)
+    at0 = ball_decomposition(trunk, 0)
+    assert [(b.r, b.k) for b in at0.balls] == [(0, 0)]
+    assert at0.count == count_solutions(trunk, 0) == 1
+    assert enumerate_solutions(trunk, 0) == [0]
+    assert is_solution(trunk, -5, 0)
+    # the root's window goes on through every level e <= t0
+    for e in range(1, trunk.t0 + 1):
+        assert [(b.r, b.k) for b in ball_decomposition(trunk, e).balls] == [(0, 0)]
+    queries = [lambda: is_solution(trunk, 0, -1), lambda: count_solutions(trunk, -1),
+               lambda: ball_decomposition(trunk, -1), lambda: enumerate_solutions(trunk, -1)]
+    for query in queries:
+        with pytest.raises(ValueError, match="non-negative"):
+            query()
+
+
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
