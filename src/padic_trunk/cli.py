@@ -6,11 +6,12 @@ values survive any JSON consumer.  One writer, `_write`, prints the
 bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
 with its ints as strings, formatting int lists 4096 at a time, so a
 JSON listing peaks at about 75 MB per million solutions.  Each command
-computes its answer, then renders the whole output before anything is
-printed, with CPython's limit on int-to-str digits lifted while it
-renders (parsing keeps the limit).  Diagnostics go to stderr with a
-nonzero exit code; no output is emitted on error paths.  `main` may be
-called repeatedly in one process: the argument parser is built once.
+computes its answer and renders the whole output before anything is
+printed, all with CPython's limit on int-to-str digits lifted; the
+parser caps each integer literal at its own MAX_DIGITS instead.
+Diagnostics go to stderr with a nonzero exit code; no output is emitted
+on error paths.  `main` may be called repeatedly in one process: the
+argument parser is built once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
@@ -128,74 +129,54 @@ def _trunk_text(trunk: Trunk) -> str:
     ]
 
     # an explicit stack of (node, indent, is last child) keeps deep branches
-    # clear of the recursion limit
-    stack: list[tuple[TrunkNode, str, bool]] = []
-
-    def push_children(node: TrunkNode, indent: str) -> None:
-        stack.extend((child, indent, i == 0)
-                     for i, child in enumerate(reversed(node.children)))
-
-    push_children(trunk.root, "")
+    # clear of the recursion limit; the root (k = 0) is the "(0,0)" line
+    stack = [(trunk.root, "", True)]
     while stack:
         node, indent, last = stack.pop()
-        branch = "└─ " if last else "├─ "
-        lines.append(f"{indent}{branch}({node.r},{node.k}) t={node.t}"
-                     f" s={node.s} phi={node.phi} {node.status}")
-        push_children(node, indent + ("   " if last else "│  "))
+        if node.k:
+            branch = "└─ " if last else "├─ "
+            lines.append(f"{indent}{branch}({node.r},{node.k}) t={node.t}"
+                         f" s={node.s} phi={node.phi} {node.status}")
+            indent += "   " if last else "│  "
+        stack.extend((child, indent, i == 0)
+                     for i, child in enumerate(reversed(node.children)))
     return "\n".join(lines)
 
 
 _DOT_TAGS = {STATUS_HENSEL: " hensel", STATUS_POWER: " power", STATUS_UNDETERMINED: " ?"}
 
 
-def _node_label(node: TrunkNode) -> str:
-    """The dot label of a non-root vertex."""
-    return f"({node.r},{node.k}) t={node.t} phi={node.phi}{_DOT_TAGS.get(node.status, '')}"
-
-
 def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
+    """The trunk in firebrick, vertex (r, k) named n{k}_{r}; with fans_to,
+    also the solutions of P mod p**e for e = 1..fans_to in gray, each hung
+    off its class one level up and named f{e}_{x} unless on the trunk."""
+    p = trunk.p
+    nodes = list(trunk.iter_nodes())
     lines = [
         "digraph trunk {",
         "  rankdir=BT;",
         "  node [fontsize=10];",
+        '  "n0_0" [label="(0,0)", color=firebrick, penwidth=2];',
     ]
-    trunk_ids: dict[tuple[int, int], str] = {(0, 0): "n0_0"}
-    lines.append(f'  "n0_0" [label="(0,0)", color=firebrick, penwidth=2];')
-    pairs: list[tuple[TrunkNode, TrunkNode]] = []
-    stack = [(trunk.root, child) for child in reversed(trunk.root.children)]
-    while stack:
-        parent, node = stack.pop()
-        pairs.append((parent, node))
-        stack.extend((node, child) for child in reversed(node.children))
-    for _, node in pairs:
-        nid = f"n{node.k}_{node.r}"
-        trunk_ids[(node.k, node.r)] = nid
-        lines.append(f'  "{nid}" [label="{_node_label(node)}",'
-                     " color=firebrick, penwidth=2];")
-    for parent, node in pairs:
-        pid = trunk_ids[(parent.k, parent.r)]
-        nid = trunk_ids[(node.k, node.r)]
-        lines.append(f'  "{pid}" -> "{nid}" [color=firebrick, penwidth=2];')
+    lines += [f'  "n{n.k}_{n.r}" [label="({n.r},{n.k}) t={n.t} phi={n.phi}'
+              f'{_DOT_TAGS.get(n.status, "")}", color=firebrick, penwidth=2];' for n in nodes]
+    lines += [f'  "n{n.k - 1}_{n.r % p ** (n.k - 1)}" -> "n{n.k}_{n.r}"'
+              " [color=firebrick, penwidth=2];" for n in nodes]
 
     if fans_to is not None:
-        if trunk.t0 != 0:
-            raise ValueError(
-                "--with-fans requires a polynomial not divisible by p")
+        on_trunk = {(n.k, n.r) for n in nodes}
         previous: dict[int, str] = {0: "n0_0"}
         for level in range(1, fans_to + 1):
-            solutions = enumerate_solutions(trunk, level)
             current: dict[int, str] = {}
-            for x in solutions:
-                vid = trunk_ids.get((level, x))
-                if vid is None:
-                    vid = f"f{level}_{x}"
-                    lines.append(f'  "{vid}" [label="{x}", color=gray50];')
-                current[x] = vid
-            for x, vid in current.items():
-                parent_id = previous[x % trunk.p ** (level - 1)]
-                if (level, x) in trunk_ids and (level - 1, x % trunk.p ** (level - 1)) in trunk_ids:
-                    continue  # trunk edge already drawn
-                lines.append(f'  "{parent_id}" -> "{vid}" [color=gray50];')
+            for x in enumerate_solutions(trunk, level):
+                if (level, x) in on_trunk:
+                    current[x] = f"n{level}_{x}"
+                else:
+                    current[x] = f"f{level}_{x}"
+                    lines.append(f'  "f{level}_{x}" [label="{x}", color=gray50];')
+            # the parent of a trunk vertex is on the trunk, and that edge is drawn
+            lines += [f'  "{previous[x % p ** (level - 1)]}" -> "{vid}" [color=gray50];'
+                      for x, vid in current.items() if (level, x) not in on_trunk]
             previous = current
             if not current:
                 break
@@ -203,29 +184,26 @@ def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trunk(args: argparse.Namespace) -> Callable[[], str]:
+def _cmd_trunk(args: argparse.Namespace) -> str:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     if args.format == "text":
-        return lambda: _trunk_text(trunk)
+        return _trunk_text(trunk)
     if args.format == "dot":
-        return lambda: _trunk_dot(trunk, args.with_fans)
-
-    def render() -> str:
-        nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
-        payload = {
-            "polynomial": poly_to_str(trunk.P0),
-            "p": trunk.p,
-            "t0": trunk.t0,
-            "d_p": trunk.d_p,
-            "built_depth": trunk.built_depth,
-            "tip_count": trunk.d_trunk,
-            "nodes": [_node_json(n) for n in nodes],
-        }
-        return _json("trunk", {"poly": args.poly, "prime": args.prime,
-                               "max_level": args.max_level}, payload)
-    return render
+        return _trunk_dot(trunk, args.with_fans)
+    nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
+    payload = {
+        "polynomial": poly_to_str(trunk.P0),
+        "p": trunk.p,
+        "t0": trunk.t0,
+        "d_p": trunk.d_p,
+        "built_depth": trunk.built_depth,
+        "tip_count": trunk.d_trunk,
+        "nodes": [_node_json(n) for n in nodes],
+    }
+    return _json("trunk", {"poly": args.poly, "prime": args.prime,
+                           "max_level": args.max_level}, payload)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +226,7 @@ def _balls_text(decomposition) -> list[str]:
     return out
 
 
-def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
+def _solve_prime_power(args: argparse.Namespace) -> str:
     p, e = args.prime, args.exp
     # levels past phi >= e never reach the answer at e
     trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
@@ -257,49 +235,43 @@ def _solve_prime_power(args: argparse.Namespace) -> Callable[[], str]:
     solutions = None
     if not args.count_only and not args.balls:
         solutions = enumerate_solutions(trunk, e)
-
-    def render() -> str:
-        if args.format == "text":
-            lines = [f"modulus: {p}^{e}", f"count: {count}"]
-            if decomposition is not None:
-                lines += ["balls:", *_balls_text(decomposition)]
-            if solutions is not None:
-                lines.append("solutions: " + "".join(_int_blocks(solutions, "%d", " ")))
-            return "\n".join(lines)
-        payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
+    if args.format == "text":
+        lines = [f"modulus: {p}^{e}", f"count: {count}"]
         if decomposition is not None:
-            payload["balls"] = _balls_json(decomposition)
+            lines += ["balls:", *_balls_text(decomposition)]
         if solutions is not None:
-            payload["solutions"] = solutions
-        return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
-    return render
+            lines.append("solutions: " + "".join(_int_blocks(solutions, "%d", " ")))
+        return "\n".join(lines)
+    payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
+    if decomposition is not None:
+        payload["balls"] = _balls_json(decomposition)
+    if solutions is not None:
+        payload["solutions"] = solutions
+    return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
 
 
-def _solve_modulus(args: argparse.Namespace) -> Callable[[], str]:
+def _solve_modulus(args: argparse.Namespace) -> str:
     result = crt_solve(parse(args.poly), args.modulus, count_only=args.count_only)
-
-    def render() -> str:
-        if args.format == "text":
-            factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
-            lines = [f"modulus: {args.modulus} = {factored}", f"count: {result.count}"]
-            if args.balls:
-                for pp, decomposition in result.factors:
-                    lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
-                    lines += _balls_text(decomposition)
-            if result.solutions is not None and not args.balls:
-                lines.append("solutions: " + "".join(_int_blocks(result.solutions, "%d", " ")))
-            return "\n".join(lines)
-        payload = {"n": args.modulus, "count": result.count, "factors": [
-            {"p": pp.p, "e": pp.e, "count": decomposition.count,
-             "balls": _balls_json(decomposition)}
-            for pp, decomposition in result.factors]}
-        if result.solutions is not None:
-            payload["solutions"] = result.solutions
-        return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
-    return render
+    if args.format == "text":
+        factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
+        lines = [f"modulus: {args.modulus} = {factored}", f"count: {result.count}"]
+        if args.balls:
+            for pp, decomposition in result.factors:
+                lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
+                lines += _balls_text(decomposition)
+        if result.solutions is not None and not args.balls:
+            lines.append("solutions: " + "".join(_int_blocks(result.solutions, "%d", " ")))
+        return "\n".join(lines)
+    payload = {"n": args.modulus, "count": result.count, "factors": [
+        {"p": pp.p, "e": pp.e, "count": decomposition.count,
+         "balls": _balls_json(decomposition)}
+        for pp, decomposition in result.factors]}
+    if result.solutions is not None:
+        payload["solutions"] = result.solutions
+    return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
 
 
-def _cmd_solve(args: argparse.Namespace) -> Callable[[], str]:
+def _cmd_solve(args: argparse.Namespace) -> str:
     if args.modulus is not None:
         if args.prime is not None or args.exp is not None:
             raise ValueError("--modulus excludes --prime/--exp")
@@ -313,20 +285,20 @@ def _cmd_solve(args: argparse.Namespace) -> Callable[[], str]:
 # classify
 # ----------------------------------------------------------------------
 
-def _cmd_classify(args: argparse.Namespace) -> Callable[[], str]:
+def _cmd_classify(args: argparse.Namespace) -> str:
     result = classify_quadratic(parse(args.poly), args.prime)
     base = "infinite" if result.base_length is None else str(result.base_length)
     if args.format == "text":
-        return lambda: f"kind: {result.kind}\nbase stem length: {base}"
-    return lambda: _json("classify", {"poly": args.poly, "prime": args.prime},
-                         {"kind": result.kind, "base_length": base})
+        return f"kind: {result.kind}\nbase stem length: {base}"
+    return _json("classify", {"poly": args.poly, "prime": args.prime},
+                 {"kind": result.kind, "base_length": base})
 
 
 # ----------------------------------------------------------------------
 # poincare
 # ----------------------------------------------------------------------
 
-def _cmd_poincare(args: argparse.Namespace) -> Callable[[], str]:
+def _cmd_poincare(args: argparse.Namespace) -> str:
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
@@ -338,34 +310,31 @@ def _cmd_poincare(args: argparse.Namespace) -> Callable[[], str]:
             else min(args.horizon, available)
     coeffs = series.expand(horizon)
     counts = [c * args.prime**e for e, c in enumerate(coeffs)]
-
-    def render() -> str:
-        if series.certified:
-            # series in u list their terms in ascending powers
-            numerator = _render_terms(enumerate(series.numerator), "u")
-            denominator = _render_terms(enumerate(series.denominator), "u")
-        if args.format == "text":
-            return "\n".join([
-                f"certified: {'true' if series.certified else 'false'}",
-                f"S(u) = ({numerator}) / ({denominator})" if series.certified
-                else "closed form not certified; partial coefficients only",
-                f"coefficients N_e/p^e (e = 0..{horizon}): "
-                + ", ".join(str(c) for c in coeffs),
-                f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])
-        payload: dict = {
-            "certified": series.certified,
-            "horizon": horizon,
-            "coefficients": [str(c) for c in coeffs],
-            "counts": [str(c) for c in counts],
-        }
-        if series.certified:
-            payload["numerator"] = numerator
-            payload["denominator"] = denominator
-            payload["denominator_factors"] = [
-                {"a": a, "b": b} for a, b in series.denominator_factors]
-        return _json("poincare", {"poly": args.poly, "prime": args.prime,
-                                  "max_level": args.max_level}, payload)
-    return render
+    if series.certified:
+        # series in u list their terms in ascending powers
+        numerator = _render_terms(enumerate(series.numerator), "u")
+        denominator = _render_terms(enumerate(series.denominator), "u")
+    if args.format == "text":
+        return "\n".join([
+            f"certified: {'true' if series.certified else 'false'}",
+            f"S(u) = ({numerator}) / ({denominator})" if series.certified
+            else "closed form not certified; partial coefficients only",
+            f"coefficients N_e/p^e (e = 0..{horizon}): "
+            + ", ".join(str(c) for c in coeffs),
+            f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])
+    payload: dict = {
+        "certified": series.certified,
+        "horizon": horizon,
+        "coefficients": [str(c) for c in coeffs],
+        "counts": [str(c) for c in counts],
+    }
+    if series.certified:
+        payload["numerator"] = numerator
+        payload["denominator"] = denominator
+        payload["denominator_factors"] = [
+            {"a": a, "b": b} for a, b in series.denominator_factors]
+    return _json("poincare", {"poly": args.poly, "prime": args.prime,
+                              "max_level": args.max_level}, payload)
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code or 0)
     try:
-        render = args.handler(args)
         with _all_digits():
-            out = render()
+            out = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

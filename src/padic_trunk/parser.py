@@ -12,7 +12,8 @@ and U+2212 is accepted as a minus sign)::
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 *, which binds tighter than binary + and -.  So "-X^2" is -(X^2) and
-"-3X" is (-3)*X.  Parentheses nest at most MAX_NESTING deep.
+"-3X" is (-3)*X.  Parentheses nest at most MAX_NESTING deep, and integer
+literals have at most MAX_DIGITS digits on every Python.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ MAX_EXPONENT = 10_000
 
 #: Deepest accepted nesting of parentheses; bounds the parser's recursion.
 MAX_NESTING = 100
+
+#: Longest accepted integer literal, in digits: CPython's default int-to-str limit.
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -58,6 +62,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
             continue

@@ -10,6 +10,10 @@ from dataclasses import dataclass
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
+# factorize's effort: trial division up to this bound, then this many rho steps per seed.
+_TRIAL_BOUND = 10**6
+_RHO_BUDGET = 200_000
+
 
 class FactorizationError(RuntimeError):
     """A composite resisted the configured factoring effort."""
@@ -66,10 +70,10 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     return None
 
 
-def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 200_000) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as a sorted list of (prime, exponent) pairs.
 
-    Trial division up to trial_bound, then rho with a bounded iteration
+    Trial division up to _TRIAL_BOUND, then rho with a bounded iteration
     budget for whatever survives; raises FactorizationError beyond that.
     """
     if n < 2:
@@ -81,7 +85,7 @@ def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 200_000) ->
             factors[q] = factors.get(q, 0) + 1
             m //= q
     d = 5
-    while d <= trial_bound and d * d <= m:
+    while d <= _TRIAL_BOUND and d * d <= m:
         for q in (d, d + 2):
             while m % q == 0:
                 factors[q] = factors.get(q, 0) + 1
@@ -94,7 +98,7 @@ def factorize(n: int, *, trial_bound: int = 10**6, rho_budget: int = 200_000) ->
             if is_prime(v):
                 factors[v] = factors.get(v, 0) + 1
                 continue
-            g = _pollard_rho(v, rho_budget)
+            g = _pollard_rho(v, _RHO_BUDGET)
             if g is None:
                 raise FactorizationError(f"could not factor {v} within the configured effort")
             stack.append(g)

@@ -86,21 +86,21 @@ def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
     level e1 = e - t0: a vertex contributes its own class when
     phi - t < e1 <= phi, and on a certified tail past phi the class one
     level deeper for each further t levels.  Raises InsufficientDepthError
-    when an undetermined branch stops short of e1.
+    when an undetermined branch stops short of e1, ValueError when e < 0.
     """
+    if e < 0:
+        raise ValueError("e must be non-negative")
     e1 = e - trunk.t0
     if e1 <= 0:
         return [(trunk.root, 0)]
     windows = []
     short = None
     for node in trunk.iter_nodes():
-        if e1 <= node.phi:
-            if e1 > node.phi - node.t:
-                windows.append((node, node.k))
-        elif node.status in CERTIFIED:
-            # node.k + ceil((e1 - phi) / t)
+        if node.phi - node.t < e1 and (e1 <= node.phi or node.status in CERTIFIED):
+            # node.k + ceil((e1 - phi) / t), which is node.k inside the window
             windows.append((node, node.k - (node.phi - e1) // node.t))
-        elif node.status == STATUS_UNDETERMINED and (short is None or node.phi < short.phi):
+        elif node.phi < e1 and node.status == STATUS_UNDETERMINED and (
+                short is None or node.phi < short.phi):
             short = node
     if short is not None:
         # open vertices sit at built_depth, or shallower with phi >= built_depth
@@ -134,8 +134,6 @@ def _members(decomposition: SolutionSet) -> list[int]:
 
 def is_solution(trunk: Trunk, x: int, e: int) -> bool:
     """Decide P(x) = 0 (mod p**e) from the trunk alone."""
-    if e < 0:
-        raise ValueError("e must be non-negative")
     return any(_contains(trunk.p, node, k, x) for node, k in _windows(trunk, e))
 
 
@@ -157,15 +155,11 @@ def count_solutions(trunk: Trunk, e: int) -> int:
     N_0 = 1: the root's class is the one residue modulo p**0.  This never
     materializes continuations, so it stays cheap even for very large e.
     """
-    if e < 0:
-        raise ValueError("e must be non-negative")
     return sum(trunk.p ** (e - k) for _, k in _windows(trunk, e))
 
 
 def ball_decomposition(trunk: Trunk, e: int) -> SolutionSet:
     """The solutions modulo p**e as pairwise disjoint balls."""
-    if e < 0:
-        raise ValueError("e must be non-negative")
     p = trunk.p
     balls = sorted((_ball(p, node, k) for node, k in _windows(trunk, e)),
                    key=lambda b: (b.k, b.r))

@@ -14,7 +14,9 @@ with fans, through the one parser that `main` keeps per process.  The
 three `trunk-*-power` cases were recorded again when a certificate for
 powers of a linear polynomial replaced the search for repeated states.
 The two `solve-exp-zero-balls` cases were added when e = 0 became an
-ordinary level: its one ball is the root's class 0 mod p^0.
+ordinary level: its one ball is the root's class 0 mod p^0.  The case
+`trunk-dot-fans-content` was added when fans started to draw the levels
+e <= t0 of a polynomial divisible by p, where every residue solves.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -42,6 +44,8 @@ COMMANDS = {
                          "--max-level", "5", "--format", "json"],
     "trunk-dot-fans": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5",
                        "--format", "dot", "--with-fans", "4"],
+    "trunk-dot-fans-content": ["trunk", "--poly", "3*X^2", "--prime", "3", "--max-level", "3",
+                               "--format", "dot", "--with-fans", "3"],
     "trunk-text-power": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6"],
     "trunk-json-power": ["trunk", "--poly", "X^2", "--prime", "3", "--max-level", "6",
                          "--format", "json"],

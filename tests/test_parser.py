@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from padic_trunk import ParseError, Polynomial, X, ast_evaluate, parse, parse_ast, poly_to_str
+from padic_trunk.parser import MAX_DIGITS
 
 
 def test_product_expansion():
@@ -123,3 +125,24 @@ def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nested deeper than 100") as info:
         parse(text)
     assert info.value.position == 100
+
+
+def test_literals_of_max_digits_parse():
+    assert MAX_DIGITS == 4300
+    assert parse("X+" + "9" * MAX_DIGITS) == X + (10**MAX_DIGITS - 1)
+
+
+@pytest.mark.parametrize("lift", [False, True], ids=["limit-as-is", "limit-lifted"])
+def test_longer_literals_are_a_parse_error(lift):
+    # the parser's own cap, also where the interpreter converts any int
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    old = get_limit()
+    if lift:
+        set_limit(0)
+    try:
+        with pytest.raises(ParseError, match="limit of 4300 digits") as info:
+            parse("X - " + "1" * (MAX_DIGITS + 1))
+    finally:
+        set_limit(old)
+    assert info.value.position == 4
