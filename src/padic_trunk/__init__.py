@@ -15,7 +15,7 @@ from .analysis import (
     poincare_series,
     quadratic_class_from_trunk,
 )
-from .parser import ParseError, ast_evaluate, parse, parse_ast
+from .parser import ParseError, parse
 from .polynomial import Polynomial, X, poly_to_str, val_p
 from .primes import FactorizationError, PrimePower, factorize, is_prime
 from .solver import (
@@ -59,7 +59,6 @@ __all__ = [
     "Trunk",
     "TrunkNode",
     "X",
-    "ast_evaluate",
     "ball_decomposition",
     "brute_force",
     "build_trunk",
@@ -72,7 +71,6 @@ __all__ = [
     "is_prime",
     "is_solution",
     "parse",
-    "parse_ast",
     "poincare_series",
     "poly_to_str",
     "quadratic_class_from_trunk",

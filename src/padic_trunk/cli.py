@@ -187,6 +187,8 @@ def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
 def _cmd_trunk(args: argparse.Namespace) -> str:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
+    if args.with_fans is not None and args.with_fans < 0:
+        raise ValueError("--with-fans must be non-negative")
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     if args.format == "text":
         return _trunk_text(trunk)

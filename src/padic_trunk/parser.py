@@ -12,8 +12,14 @@ and U+2212 is accepted as a minus sign)::
 
 Precedence: ^ binds tighter than unary minus, which binds tighter than
 *, which binds tighter than binary + and -.  So "-X^2" is -(X^2) and
-"-3X" is (-3)*X.  Parentheses nest at most MAX_NESTING deep, and integer
-literals have at most MAX_DIGITS digits on every Python.
+"-3X" is (-3)*X, and "^" chains fold left: "X^2^3" is X^6.  Parentheses
+nest at most MAX_NESTING deep, and integer literals are decimal digits,
+at most MAX_DIGITS of them on every Python.
+
+The text is tokenized once, and one walk over the tokens computes the
+value as it reads it, with no tree in between.  parse walks twice: first
+over zeros, which checks the whole text in linear time, so a syntax error
+anywhere beats any expansion; then over Polynomial values.
 """
 
 from __future__ import annotations
@@ -38,11 +44,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-# AST nodes are tagged tuples:
-#   ("int", value)  ("var",)  ("neg", a)  ("add", a, b)  ("sub", a, b)
-#   ("mul", a, b)   ("pow", a, exponent, position)
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
@@ -58,9 +59,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", i)
@@ -80,11 +81,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """One pass over the tokens that computes the value as it reads it.
+
+    A walk takes const(n) for a literal, var for the variable and
+    power(value, exponent, position) for "^"; the values' own + - * do the
+    rest.  Sums, products, runs of unary minus and "^" chains fold in loops,
+    so only parentheses recurse, at most MAX_NESTING deep."""
+
     def __init__(self, text: str, variable: str):
         self.tokens = _tokenize(text)
-        self.pos = 0
         self.variable = variable.lower()
-        self.nesting = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -94,57 +100,58 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        node = self.expr()
+    def walk(self, const, var, power):
+        self.const, self.var, self.power_of = const, var, power
+        self.pos = 0
+        self.nesting = 0
+        value = self.expr()
         # expr returns only at ")" or the end: every other token goes on a sum or a term
         kind, _, at = self.peek()
         if kind != "end":
             raise ParseError("unbalanced parenthesis", at)
-        return node
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in ("+", "-"):
+            kind, op, _ = self.peek()
+            if kind == "op" and op in ("+", "-"):
                 self.advance()
                 rhs = self.term()
-                node = ("add" if value == "+" else "sub", node, rhs)
+                value = value + rhs if op == "+" else value - rhs
             else:
-                return node
+                return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
+            kind, op, _ = self.peek()
+            if kind == "op" and op == "*":
                 self.advance()
-                node = ("mul", node, self.factor())
-            elif kind in ("int", "name") or (kind == "op" and value == "("):
+                value = value * self.factor()
+            elif kind in ("int", "name") or (kind == "op" and op == "("):
                 # implicit multiplication: "3X", "(X+1)(X+2)", "2(X-1)"
-                node = ("mul", node, self.factor())
+                value = value * self.factor()
             else:
-                return node
+                return value
 
     def factor(self):
         signs = 0
         while self.peek()[:2] == ("op", "-"):
             self.advance()
             signs += 1
-        node = self.power()
-        for _ in range(signs):
-            node = ("neg", node)
-        return node
+        value = self.power()
+        return -value if signs % 2 else value
 
     def power(self):
-        node = self.atom()
+        value = self.atom()
         while True:
-            kind, value, at = self.peek()
-            if kind == "op" and value == "^":
+            kind, op, at = self.peek()
+            if kind == "op" and op == "^":
                 self.advance()
-                node = ("pow", node, self.exponent(), at)
+                value = self.power_of(value, self.exponent(), at)
             else:
-                return node
+                return value
 
     def exponent(self) -> int:
         kind, value, at = self.peek()
@@ -165,79 +172,40 @@ class _Parser:
     def atom(self):
         kind, value, at = self.advance()
         if kind == "int":
-            return ("int", value)
+            return self.const(value)
         if kind == "name":
             if value.lower() != self.variable:
                 raise ParseError(f"unknown identifier {value!r}", at)
-            return ("var",)
+            return self.var
         if kind == "op" and value == "(":
             self.nesting += 1
             if self.nesting > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
-            node = self.expr()
+            inner = self.expr()
             self.nesting -= 1
             kind, value, at = self.advance()
             if kind != "op" or value != ")":
                 raise ParseError("unbalanced parenthesis", at)
-            return node
+            return inner
+        if kind == "end":
+            raise ParseError("unexpected end of input", at)
         raise ParseError(f"unexpected token {value!r}", at)
 
 
-def parse_ast(text: str, variable: str = "X"):
-    """Parse an expression into its AST without expanding it."""
-    return _Parser(text, variable).parse()
-
-
-# Binary and unary nodes keep their left (or only) operand at index 1.  The
-# fold walks that spine in a loop, so long chains such as a sum of many
-# terms recurse only into right operands, whose depth MAX_NESTING bounds.
-_SPINE = ("add", "sub", "mul", "pow", "neg")
-
-
-def _fold(node, leaf, power):
-    """Evaluate an AST: leaf(node) gives the value of an "int" or "var" node,
-    power(value, node) applies a "pow" node, and the values' own + - * do
-    the rest."""
-    spine = []
-    while node[0] in _SPINE:
-        spine.append(node)
-        node = node[1]
-    if node[0] not in ("int", "var"):
-        raise ValueError(f"unknown AST node {node[0]!r}")
-    value = leaf(node)
-    for op in reversed(spine):
-        tag = op[0]
-        if tag == "neg":
-            value = -value
-        elif tag == "pow":
-            value = power(value, op)
-        elif tag == "add":
-            value = value + _fold(op[2], leaf, power)
-        elif tag == "sub":
-            value = value - _fold(op[2], leaf, power)
-        else:
-            value = value * _fold(op[2], leaf, power)
-    return value
-
-
-def _polynomial_power(base: Polynomial, node) -> Polynomial:
-    exp = node[2]
+def _polynomial_power(base: Polynomial, exp: int, at: int) -> Polynomial:
     if not base.is_zero and base.degree * exp > MAX_EXPONENT:
-        raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", node[3])
+        raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
     return base ** exp
 
 
-def ast_to_polynomial(node) -> Polynomial:
-    """Expand an AST into a canonical Polynomial by exact arithmetic."""
-    return _fold(node, lambda n: Polynomial((n[1],) if n[0] == "int" else (0, 1)),
-                 _polynomial_power)
-
-
-def ast_evaluate(node, x: int) -> int:
-    """Evaluate the unexpanded AST at an integer (for cross-checks)."""
-    return _fold(node, lambda n: n[1] if n[0] == "int" else x, lambda v, n: v ** n[2])
+def _evaluate_at(text: str, x: int) -> int:
+    """Evaluate the text at an integer without expanding it (for cross-checks)."""
+    return _Parser(text, "X").walk(lambda n: n, x, lambda value, exp, at: value ** exp)
 
 
 def parse(text: str, variable: str = "X") -> Polynomial:
     """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
-    return ast_to_polynomial(parse_ast(text, variable))
+    parser = _Parser(text, variable)
+    # a walk over zeros checks the whole text before any power is expanded
+    parser.walk(lambda n: 0, 0, lambda value, exp, at: 0)
+    return parser.walk(lambda n: Polynomial((n,)), Polynomial((0, 1)), _polynomial_power)

@@ -121,6 +121,13 @@ def test_trunk_dot_fans_stop_at_the_first_level_without_solutions(capsys, monkey
     assert code == 0 and levels == [1]
     assert "f1_" not in out
 
+def test_trunk_dot_fans_refuse_a_negative_level(capsys):
+    code, out, err = run_cli(capsys, "trunk", "--poly", "X^2+1", "--prime", "5",
+                             "--max-level", "3", "--format", "dot", "--with-fans", "-1")
+    assert code == 1 and out == ""
+    assert "--with-fans must be non-negative" in err
+
+
 def test_byte_identical_structured_output(capsys):
     args = ("solve", "--poly", "X^2+11", "--modulus", "15", "--format", "json")
     _, first, _ = run_cli(capsys, *args)

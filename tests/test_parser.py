@@ -3,8 +3,8 @@ import sys
 
 import pytest
 
-from padic_trunk import ParseError, Polynomial, X, ast_evaluate, parse, parse_ast, poly_to_str
-from padic_trunk.parser import MAX_DIGITS
+from padic_trunk import ParseError, Polynomial, X, parse, poly_to_str
+from padic_trunk.parser import MAX_DIGITS, _evaluate_at
 
 
 def test_product_expansion():
@@ -46,6 +46,11 @@ def test_case_and_unicode_minus():
     assert parse("(X−1)^2") == (X - 1) ** 2
 
 
+def test_literals_are_decimal_digits_of_any_script():
+    assert parse("٣X") == 3 * X
+    assert parse("X+１") == X + 1
+
+
 def test_custom_variable():
     assert parse("T^2+1", variable="T") == X**2 + 1
     with pytest.raises(ParseError, match="unknown identifier"):
@@ -61,7 +66,9 @@ def test_custom_variable():
     ("Y+1", "unknown identifier"),
     ("X^20000", "exceeds bound"),
     ("X$", "unexpected character"),
-    ("", "unexpected token"),
+    ("X^²", "unexpected character"),
+    ("", "unexpected end of input"),
+    ("X+", "unexpected end of input"),
 ])
 def test_errors_carry_positions(text, fragment):
     with pytest.raises(ParseError, match=fragment) as info:
@@ -79,6 +86,15 @@ def test_error_position_points_at_offender():
 def test_power_expansion_guard():
     with pytest.raises(ParseError, match="degree exceeds"):
         parse("(X^200)^200")
+
+
+def test_whole_text_is_checked_before_any_power_is_expanded(monkeypatch):
+    def refuse(self, exponent):
+        raise AssertionError("a power was expanded")
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    with pytest.raises(ParseError, match="unbalanced parenthesis") as info:
+        parse("(X+1)^10000)")
+    assert info.value.position == 11
 
 
 def test_round_trip():
@@ -100,11 +116,10 @@ def test_ast_evaluation_agreement():
         "(2X+1)^5 - 32X^5",
     ]
     for text in expressions:
-        ast = parse_ast(text)
         P = parse(text)
         for _ in range(20):
             x = rng.randint(-100, 100)
-            assert ast_evaluate(ast, x) == P.evaluate(x)
+            assert _evaluate_at(text, x) == P.evaluate(x)
 
 
 @pytest.mark.parametrize("text,degree", [
@@ -117,7 +132,7 @@ def test_ast_evaluation_agreement():
 def test_long_chains_parse_without_recursion(text, degree):
     P = parse(text)
     assert P.degree == degree
-    assert ast_evaluate(parse_ast(text), 3) == P.evaluate(3)
+    assert _evaluate_at(text, 3) == P.evaluate(3)
 
 
 def test_deep_nesting_is_a_parse_error():
