@@ -8,6 +8,7 @@ like p**((d-t)*k), so nothing here assumes bounded-width arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import zip_longest
@@ -72,11 +73,6 @@ class Polynomial:
 
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def leading_coefficient(self) -> int:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -196,21 +192,17 @@ class Polynomial:
             a[j] *= scale
         return Polynomial._of(a)
 
-    def p_content(self, p: int, at_most: int | None = None) -> tuple[int, "Polynomial"]:
+    def p_content(self, p: int) -> tuple[int, "Polynomial"]:
         """Split off the highest power of p dividing every coefficient.
 
         Returns (t, Q) with P == p**t * Q exactly and p not dividing Q.
-        t is val_p of the gcd.  A caller that knows t <= at_most has it
-        taken of the coefficients mod p**(at_most + 1): linear time in
-        their size, where the full gcd is quadratic.
+        t is val_p of the gcd.
         """
         if p < 2:
             raise ValueError("p must be at least 2")
         if self.is_zero:
             raise ValueError("zero polynomial has infinite content")
-        q = 0 if at_most is None else p ** (at_most + 1)
-        t = val_p(math.gcd(q, *(c % q for c in self.coeffs)) if q
-                  else math.gcd(*self.coeffs), p)
+        t = val_p(math.gcd(*self.coeffs), p)
         if t == 0:
             return 0, self
         q = p ** t
@@ -223,28 +215,49 @@ class Polynomial:
         return Polynomial._of([c % p for c in self.coeffs])
 
 
-#: Primes below this find roots by evaluating at every residue, which beats
-#: the gcd path there: the two cost the same near p = 200 to 300 for
-#: degrees 2 to 8 (see roots_mod_p).
+#: Primes below this find roots by a scan of every residue (reduced_roots).
+#: On a memo miss it costs what the gcd path does near p = 200 to 270 for
+#: degrees 2 to 8: at p = 251, 80-210 us against 60-195 us (CPython 3.11).
 ROOT_SCAN_LIMIT = 256
+SCAN_MEMO_DEGREE, SCAN_MEMO_SIZE = 8, 2048
 
 
 def roots_mod_p(Q: Polynomial, p: int) -> list[int]:
-    """The sorted roots in [0, p) of Q modulo the prime p.
-
-    Q mod p must have degree at least 1.  Below ROOT_SCAN_LIMIT every
-    residue is tried.  Otherwise the distinct roots are those of
-    g = gcd(f, X**p - X), f the monic reduction of Q, with X**p mod f
-    found by repeated squaring; g is split by equal-degree factorisation
-    (Cantor-Zassenhaus).  That costs about deg(Q)**2 * log p operations
-    mod p, and the splitting is deterministic per input.
-    """
+    """The sorted roots in [0, p) of Q modulo the prime p; Q mod p needs degree >= 1."""
     red = Q.reduce_mod(p)
     if red.is_zero or red.degree < 1:
         raise ValueError("roots_mod_p requires degree at least 1 modulo p")
-    if p < ROOT_SCAN_LIMIT:
-        return [x for x in range(p) if red.evaluate(x, p) == 0]
-    return _roots_by_gcd(red, p)
+    return list(reduced_roots(red, p))
+
+
+def reduced_roots(red: Polynomial, p: int) -> tuple[int, ...] | list[int]:
+    """roots_mod_p for red already reduced mod p, of degree at least 1.
+
+    Below ROOT_SCAN_LIMIT every residue is tried, and the roots of a red of
+    degree <= SCAN_MEMO_DEGREE are a tuple kept in a least recently used memo
+    of SCAN_MEMO_SIZE entries.  Its ints are below 256, which CPython shares,
+    so full it holds about 0.5 MB: 250 bytes per degree-8 entry with 8 roots
+    on CPython 3.11.  Otherwise the roots are those of g = gcd(f, X**p - X),
+    f the monic red, with X**p mod f found by repeated squaring, g split by
+    equal-degree factorisation (Cantor-Zassenhaus): about deg(red)**2 * log p
+    operations mod p, the splitting deterministic per input.
+    """
+    if p >= ROOT_SCAN_LIMIT:
+        return _roots_by_gcd(red, p)
+    return (_scan if red.degree <= SCAN_MEMO_DEGREE else _scan.__wrapped__)(red.coeffs, p)
+
+
+@functools.lru_cache(maxsize=SCAN_MEMO_SIZE)
+def _scan(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The x in [0, p) with sum(cs[i] * x**i) = 0 mod p, by Horner's rule."""
+    top, roots = cs[::-1], []
+    for x in range(p):
+        acc = 0
+        for c in top:
+            acc = (acc * x + c) % p
+        if not acc:
+            roots.append(x)
+    return tuple(roots)
 
 
 # Polynomials over F_p below are ascending coefficient lists in [0, p)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .polynomial import Polynomial, roots_mod_p
+from .polynomial import Polynomial, reduced_roots
 from .primes import is_prime
 
 STATUS_EXPANDED = "expanded"
@@ -43,17 +43,25 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
     """Thickness t and successor Q of P at a mod-p root r.
 
     P(r + p*X) = p**t * Q(X) with t maximal, so p does not divide Q.
-    Requires p not dividing P itself and P(r) = 0 (mod p); t is then
-    at least 1 and at most deg P, so the coefficients mod p**(deg P + 1)
-    give it.
+    Requires p not dividing P itself and P(r) = 0 (mod p).  With a_j the
+    coefficients of P(r + X), t = min_j (j + v_p(a_j)), each valuation
+    searched up to the least t so far, and Q_j = a_j * p**(j - t).
     """
     if P.is_zero or not _unit_content(P, p):
         raise ValueError("unnormalized input: p divides P")
-    shifted = P.shift_scale(r, p)
-    # the constant term of P(r + p*X) is P(r)
-    if shifted.coefficient(0) % p:
+    a, n = list(P.coeffs), len(P.coeffs)
+    for i in range(n - 1 if r else 0):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += r * a[j + 1]
+    if a[0] % p:  # a_0 = P(r)
         raise ValueError(f"not a root: P({r}) is nonzero modulo {p}")
-    return shifted.p_content(p, P.degree)
+    t = n
+    for j, c in enumerate(a):
+        while j < t and c % p == 0:
+            c, j = c // p, j + 1
+        t = j if j < t else t
+    return t, Polynomial._of([c // p ** (t - j) if j < t else c * p ** (j - t)
+                              for j, c in enumerate(a)])
 
 
 def residual_degree(Q: Polynomial, p: int) -> int:
@@ -162,7 +170,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     """Build the trunk of P for the prime p down to level max_level.
 
     Per level, the roots of the current successor modulo p come from
-    roots_mod_p, in about deg(P)**2 * log p operations mod p, and each
+    reduced_roots, in about deg(P)**2 * log p operations mod p, and each
     root gets a child carrying its thickness, successor and residual
     degree.  Each successor is reduced mod p once, for both its residual
     degree and its roots.
@@ -194,10 +202,10 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     red = p0.reduce_mod(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0, s=red.degree)
     linear = _linear_factor(p0)
-    # each open vertex travels with its successor reduced mod p
-    stack = [(root, red)]
+    # each open vertex (r, k) travels with its successor reduced mod p and p**k
+    stack = [(root, red, 1)]
     while stack:
-        node, red = stack.pop()
+        node, red, pk = stack.pop()
         if node.s == 0:
             # successor is a nonzero constant mod p: no roots ever
             node.status = STATUS_LEAF
@@ -218,12 +226,11 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_UNDETERMINED
             continue
 
-        roots = roots_mod_p(red, p)
+        roots = reduced_roots(red, p)
         if not roots:
             node.status = STATUS_LEAF
             continue
         node.status = STATUS_EXPANDED
-        pk = p ** node.k
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)
             red = successor.reduce_mod(p)
@@ -231,7 +238,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
                               phi=node.phi + t, successor=successor,
                               s=red.degree)
             node.children.append(child)
-            stack.append((child, red))
+            stack.append((child, red, pk * p))
     return Trunk(p=p, t0=t0, P0=p0, root=root, built_depth=max_level)
 
 

@@ -30,9 +30,11 @@ from padic_trunk import (
     val_p,
 )
 from padic_trunk.cli import _all_digits, _write
-from padic_trunk.polynomial import ROOT_SCAN_LIMIT, _roots_by_gcd, roots_mod_p
+from padic_trunk.polynomial import (
+    ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
+from padic_trunk.primes import is_prime
 from padic_trunk.solver import _ball
-from padic_trunk.trunk import STATUS_POWER, hensel_lift
+from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
 from invariants import check_trunk
 from oracle import check_case, random_case
@@ -59,10 +61,41 @@ def test_p_content_splits_off_the_minimum_valuation(coeffs, p, c):
     P = Polynomial(x * p**c for x in coeffs)
     t, Q = P.p_content(p)
     assert t == min(val_p(x, p) for x in P.coeffs if x)
-    # a known bound on t gives the same split from the coefficients mod p**(bound+1)
-    assert P.p_content(p, t) == P.p_content(p, t + 3) == (t, Q)
+    assert (p**3 * P).p_content(p) == (t + 3, Q) and Q.p_content(p) == (0, Q)
     assert P == p**t * Q
     assert any(x % p for x in Q.coeffs)
+
+
+# ----------------------------------------------------------------------
+# thickness against its definition
+# ----------------------------------------------------------------------
+
+@st.composite
+def thickness_inputs(draw):
+    """(P, r, p): p does not divide P and P(r) = 0 mod p; coefficients up to 3000 bits."""
+    p = draw(st.sampled_from([2, 3, 13, 257, 2**61 - 1]))
+    n = draw(st.integers(1, 8))
+    coefficient = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-2**3000, 2**3000))
+    # zero coefficients, and coefficients (the leading one too) divisible by p
+    cs = [draw(coefficient) * p ** draw(st.integers(0, 3)) for _ in range(n + 1)]
+    r = draw(st.one_of(st.just(0), st.integers(-2 * p, 2 * p), st.integers(-2**200, 2**200)))
+    # a unit at some X**j, j >= 1, then the constant term makes r a root
+    j = draw(st.integers(1, n))
+    if cs[j] % p == 0:
+        cs[j] += 1
+    cs[0] -= Polynomial(cs).evaluate(r, p)
+    return Polynomial(cs), r, p
+
+
+@settings(deterministic, max_examples=300)
+@given(case=thickness_inputs())
+def test_thickness_is_the_content_of_the_shifted_polynomial(case):
+    P, r, p = case
+    assert thickness(P, r, p) == P.shift_scale(r, p).p_content(p)
+    with pytest.raises(ValueError, match=re.escape("unnormalized input: p divides P")):
+        thickness(p * P, r, p)
+    with pytest.raises(ValueError, match=re.escape(f"not a root: P({r}) is nonzero modulo {p}")):
+        thickness(P + 1, r, p)
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +434,55 @@ def test_roots_mod_p_match_the_scan(case):
         assert expected == list(range(p))
     if kind == "rootless":
         assert expected == []
+
+
+SCAN_PRIMES = [q for q in range(2, ROOT_SCAN_LIMIT) if is_prime(q)]
+
+
+def test_memoized_roots_match_the_scan_at_every_prime_below_the_limit():
+    rng = random.Random(15)
+    for p in SCAN_PRIMES:
+        for _ in range(6):
+            # half of them split into linear factors mod p, so roots are found
+            Q = Polynomial([rng.randrange(1, p)])
+            for _ in range(rng.randint(1, SCAN_MEMO_DEGREE)):
+                Q = Q * Polynomial([rng.randrange(-p * p, p * p), rng.choice([1, 1 + p])])
+            if rng.random() < 0.5:
+                Q = Q + p * Polynomial([rng.randrange(-p, p) for _ in Q.coeffs])
+                Q = Q + Polynomial([rng.randrange(p)])
+            if Q.reduce_mod(p).is_zero or Q.reduce_mod(p).degree < 1:
+                continue
+            expected = [x for x in range(p) if Q.evaluate(x, p) == 0]
+            before = _scan.cache_info()
+            assert roots_mod_p(Q, p) == expected
+            assert roots_mod_p(Q, p) == expected
+            after = _scan.cache_info()
+            # the second call, at least, is answered from the memo
+            assert after.hits >= before.hits + 1
+            assert after.hits + after.misses == before.hits + before.misses + 2
+
+
+@pytest.mark.parametrize("p", [7, 263])
+def test_a_returned_root_list_is_the_callers_own(p):
+    Q = Polynomial([-1, 0, 1])
+    first = roots_mod_p(Q, p)
+    assert first == [1, p - 1]
+    first[0] = 5
+    first.append(6)
+    assert roots_mod_p(Q, p) == [1, p - 1]
+
+
+def test_a_reduction_above_the_memo_degree_is_answered_and_not_stored():
+    p = 13
+    Q = Polynomial([1])
+    for r in range(SCAN_MEMO_DEGREE + 1):
+        Q = Q * Polynomial([-r, 1])
+    before = _scan.cache_info()
+    assert roots_mod_p(Q, p) == list(range(SCAN_MEMO_DEGREE + 1))
+    assert roots_mod_p(Q * Polynomial([1, 0, 1]), p) == list(range(SCAN_MEMO_DEGREE + 1))
+    after = _scan.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                         before.currsize)
 
 
 def _rem(a, f, p):
