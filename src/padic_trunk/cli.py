@@ -4,8 +4,10 @@ Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
 values survive any JSON consumer.  One writer, `_write`, prints the
 bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
-with its ints as strings, formatting int lists 4096 at a time, so a
-JSON listing peaks at about 75 MB per million solutions.  Each command
+with its ints as strings.  A listing reaches it, and the text output, as
+the solver's stream of sorted blocks of about 4096 ints, so no int list is
+held: a JSON listing peaks at about 40 MB per million solutions, twice the
+bytes printed.  Each command
 computes its answer and renders the whole output before anything is
 printed, all with CPython's limit on int-to-str digits lifted; the
 parser caps each integer literal at its own MAX_DIGITS instead.
@@ -20,14 +22,16 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
 from .analysis import classify_quadratic, poincare_series
 from .parser import parse
 from .polynomial import _render_terms, poly_to_str
 from .solver import (
+    _listing,
     ball_decomposition,
     count_solutions,
     crt_solve,
@@ -43,14 +47,14 @@ from .trunk import (
 )
 
 SCHEMA_VERSION = "1"
-_BLOCK = 4096
 
 
-def _int_blocks(xs: list[int], template: str, sep: str) -> Iterator[str]:
-    """The ints xs, each formatted by template and separated by sep, a block at a time."""
-    for i in range(0, len(xs), _BLOCK):
-        block = tuple(xs[i:i + _BLOCK])
-        yield ((sep if i else "") + sep.join([template] * len(block))) % block
+def _int_blocks(blocks: Iterable[list[int]], template: str, sep: str,
+                lead: str = "") -> Iterator[str]:
+    """The ints of blocks by template, separated by sep and led by lead, a block at a time."""
+    for block in blocks:
+        yield lead + sep.join([template] * len(block)) % tuple(block)
+        lead = sep
 
 
 def _write(value, indent: str, parts: list[str]) -> None:
@@ -60,6 +64,10 @@ def _write(value, indent: str, parts: list[str]) -> None:
         parts.append(f'"{value}"')
     elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, Iterator):  # a listing: blocks of ints, written as one list
+        start, inner = len(parts), indent + "  "
+        parts.extend(_int_blocks(value, '"%d"', ",\n" + inner, "[\n" + inner))
+        parts.append("\n" + indent + "]" if len(parts) > start else "[]")
     elif not value or not isinstance(value, (dict, list)):
         parts.append(json.dumps(value))  # null, true, false, {} and []
     elif isinstance(value, dict):
@@ -70,13 +78,9 @@ def _write(value, indent: str, parts: list[str]) -> None:
         parts.append("\n" + indent + "}")
     else:
         inner = indent + "  "
-        if set(map(type, value)) == {int}:
-            parts.append("[\n" + inner)
-            parts.extend(_int_blocks(value, '"%d"', ",\n" + inner))
-        else:
-            for i, item in enumerate(value):
-                parts.append((",\n" if i else "[\n") + inner)
-                _write(item, inner, parts)
+        for i, item in enumerate(value):
+            parts.append((",\n" if i else "[\n") + inner)
+            _write(item, inner, parts)
         parts.append("\n" + indent + "]")
 
 
@@ -233,27 +237,26 @@ def _solve_prime_power(args: argparse.Namespace) -> str:
     # levels past phi >= e never reach the answer at e
     trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
     count = count_solutions(trunk, e)
-    decomposition = ball_decomposition(trunk, e) if args.balls else None
-    solutions = None
-    if not args.count_only and not args.balls:
-        solutions = enumerate_solutions(trunk, e)
+    decomposition = None if args.count_only and not args.balls else ball_decomposition(trunk, e)
+    blocks = None if args.count_only or args.balls else _listing([decomposition])
     if args.format == "text":
         lines = [f"modulus: {p}^{e}", f"count: {count}"]
-        if decomposition is not None:
+        if args.balls:
             lines += ["balls:", *_balls_text(decomposition)]
-        if solutions is not None:
-            lines.append("solutions: " + "".join(_int_blocks(solutions, "%d", " ")))
+        if blocks is not None:
+            lines.append("solutions: " + "".join(_int_blocks(blocks, "%d", " ")))
         return "\n".join(lines)
     payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
-    if decomposition is not None:
+    if args.balls:
         payload["balls"] = _balls_json(decomposition)
-    if solutions is not None:
-        payload["solutions"] = solutions
+    if blocks is not None:
+        payload["solutions"] = blocks
     return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
 
 
 def _solve_modulus(args: argparse.Namespace) -> str:
-    result = crt_solve(parse(args.poly), args.modulus, count_only=args.count_only)
+    result = crt_solve(parse(args.poly), args.modulus, count_only=True)
+    blocks = None if args.count_only else _listing([d for _, d in result.factors])
     if args.format == "text":
         factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
         lines = [f"modulus: {args.modulus} = {factored}", f"count: {result.count}"]
@@ -261,15 +264,15 @@ def _solve_modulus(args: argparse.Namespace) -> str:
             for pp, decomposition in result.factors:
                 lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
                 lines += _balls_text(decomposition)
-        if result.solutions is not None and not args.balls:
-            lines.append("solutions: " + "".join(_int_blocks(result.solutions, "%d", " ")))
+        elif blocks is not None:
+            lines.append("solutions: " + "".join(_int_blocks(blocks, "%d", " ")))
         return "\n".join(lines)
     payload = {"n": args.modulus, "count": result.count, "factors": [
         {"p": pp.p, "e": pp.e, "count": decomposition.count,
          "balls": _balls_json(decomposition)}
         for pp, decomposition in result.factors]}
-    if result.solutions is not None:
-        payload["solutions"] = result.solutions
+    if blocks is not None:
+        payload["solutions"] = blocks
     return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
 
 
@@ -424,4 +427,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; as the Python docs' note on SIGPIPE says, point
+        # it at devnull so that the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

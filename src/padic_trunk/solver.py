@@ -16,7 +16,11 @@ recombining with the Chinese remainder theorem.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
+from math import prod
+from typing import Iterator
 
 from .polynomial import Polynomial
 from .primes import PrimePower, factorize
@@ -31,6 +35,8 @@ from .trunk import (
 
 #: Default ceiling on the number of explicitly listed solutions.
 DEFAULT_BUDGET = 10**7
+#: Members per block of a streamed listing, about.
+_BLOCK = 4096
 
 
 class InsufficientDepthError(ValueError):
@@ -121,15 +127,58 @@ def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:
     return SolutionBall(node.r + y * p**node.k, k)
 
 
-def _members(decomposition: SolutionSet) -> list[int]:
-    """The sorted integers in [0, p**e) covered by the decomposition's balls."""
-    p = decomposition.p
-    pe = p ** decomposition.e
-    out: list[int] = []
-    for ball in decomposition.balls:
-        out.extend(range(ball.r, pe, p ** ball.k))
-    out.sort()
-    return out
+def _class_blocks(groups: dict[int, list[int]], n: int) -> Iterator[list[int]]:
+    """The members in [0, n) of disjoint classes r mod M, r in groups[M] and M | n,
+    as sorted consecutive blocks of about _BLOCK, in O(count + blocks * groups)
+    time up to logarithms and O(block + classes) memory.
+
+    A window of [0, n) expected to hold a block takes from each group one
+    range per representative when it spans more periods than there are
+    representatives, else each period's sorted representatives shifted by
+    j * M, cutting the first and last by bisection; one sort merges the groups.
+    """
+    groups = {M: sorted(rs) for M, rs in groups.items()}
+    windows = -(-sum(len(rs) * (n // M) for M, rs in groups.items()) // _BLOCK)
+    for i in range(windows):
+        lo, hi = n * i // windows, n * (i + 1) // windows
+        block: list[int] = []
+        for M, rs in groups.items():
+            j0, a = divmod(lo, M)
+            if len(rs) * M <= hi - lo:
+                for r in rs:
+                    block.extend(range(lo + (r - a) % M, hi, M))
+                continue
+            j1, b = divmod(hi, M)
+            first, last = bisect_left(rs, a), bisect_left(rs, b)
+            for j in range(j0, j1 + 1):
+                period = rs[first if j == j0 else 0:last if j == j1 else None]
+                block.extend(map((j * M).__add__, period) if j else period)
+        if block:
+            block.sort()
+            yield block
+
+
+def _listing(decompositions: list[SolutionSet],
+             budget: int = DEFAULT_BUDGET) -> Iterator[list[int]]:
+    """The blocks of sorted solutions modulo n = prod p_i**e_i, once their count
+    is checked against the budget.  Each tuple of per-factor balls r_i mod
+    p_i**k_i is one class mod prod p_i**k_i, whose value fixes the tuple: that
+    of x = sum r_i * b_i, with b_i = 1 mod p_i**e_i and 0 mod the rest."""
+    n = prod(d.p ** d.e for d in decompositions)
+    count = prod(d.count for d in decompositions)
+    if count > budget:
+        raise EnumerationBudgetError(
+            f"enumeration too large: {count} solutions exceed the budget {budget}")
+    groups = {1: [0]}
+    for decomposition in decompositions:
+        p, pe = decomposition.p, decomposition.p ** decomposition.e
+        b = n // pe * pow(n // pe, -1, pe) % n
+        terms: dict[int, list[int]] = {}
+        for ball in decomposition.balls:
+            terms.setdefault(p ** ball.k, []).append(ball.r * b % n)
+        groups = {M * q: [x + t for x in xs for t in ts]
+                  for q, ts in terms.items() for M, xs in groups.items()}
+    return _class_blocks({M: [x % M for x in xs] for M, xs in groups.items()}, n)
 
 
 def is_solution(trunk: Trunk, x: int, e: int) -> bool:
@@ -167,13 +216,8 @@ def ball_decomposition(trunk: Trunk, e: int) -> SolutionSet:
 
 
 def enumerate_solutions(trunk: Trunk, e: int, *, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Explicit sorted solutions in [0, p**e), reconstructed from balls."""
-    decomposition = ball_decomposition(trunk, e)
-    if decomposition.count > budget:
-        raise EnumerationBudgetError(
-            f"enumeration too large: {decomposition.count} solutions"
-            f" exceed the budget {budget}")
-    return _members(decomposition)
+    """Explicit sorted solutions in [0, p**e), streamed from the balls."""
+    return list(chain.from_iterable(_listing([ball_decomposition(trunk, e)], budget)))
 
 
 def brute_force(P: Polynomial, m: int, *, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -195,33 +239,16 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
     """Solve P(x) = 0 (mod n) for composite n.
 
     Factors n, solves each prime-power congruence through the trunk
-    pipeline, and recombines the residues one factor at a time with
-    modular inverses.  The per-factor ball structure is always returned;
+    pipeline, and recombines each tuple of per-factor balls into one class
+    mod n's divisor prod p_i**k_i.  The per-factor ball structure is always returned;
     the explicit list is subject to the budget (and skipped entirely
     with count_only).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    factors: list[tuple[PrimePower, SolutionSet]] = []
-    count = 1
-    for p, e in factorize(n):
-        decomposition = ball_decomposition(trunk_builder(P, p, e), e)
-        factors.append((PrimePower(p, e), decomposition))
-        count *= decomposition.count
-
-    if count_only:
-        return CrtSolution(n=n, count=count, solutions=None, factors=factors)
-    if count == 0:
-        return CrtSolution(n=n, count=0, solutions=[], factors=factors)
-    if count > budget:
-        raise EnumerationBudgetError(
-            f"enumeration too large: {count} solutions exceed the budget {budget}")
-
-    # x = sum of r_i * b_i with b_i = 1 mod the i-th prime power, 0 mod the rest
-    acc = [0]
-    for pp, decomposition in factors:
-        rest = n // pp.modulus
-        b = rest * pow(rest, -1, pp.modulus) % n
-        terms = [r * b % n for r in _members(decomposition)]
-        acc = [s + t for s in acc for t in terms]
-    return CrtSolution(n=n, count=count, solutions=sorted([x % n for x in acc]), factors=factors)
+    factors = [(PrimePower(p, e), ball_decomposition(trunk_builder(P, p, e), e))
+               for p, e in factorize(n)]
+    solutions = None if count_only else list(
+        chain.from_iterable(_listing([d for _, d in factors], budget)))
+    return CrtSolution(n=n, count=prod(d.count for _, d in factors),
+                       solutions=solutions, factors=factors)

@@ -314,6 +314,20 @@ def test_console_entry_point():
     assert "solutions: 2 7 8 13" in result.stdout
 
 
+def test_a_reader_closing_the_pipe_ends_the_run_without_a_traceback():
+    # 3^10 solutions, about 700 kB: more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padic_trunk", "solve", "--poly", "X^2",
+         "--prime", "3", "--exp", "20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"modulus: 3"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+
+
 # ----------------------------------------------------------------------
 # answers past CPython's int-to-str digit limit
 # ----------------------------------------------------------------------

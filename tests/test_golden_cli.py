@@ -17,6 +17,9 @@ The two `solve-exp-zero-balls` cases were added when e = 0 became an
 ordinary level: its one ball is the root's class 0 mod p^0.  The case
 `trunk-dot-fans-content` was added when fans started to draw the levels
 e <= t0 of a polynomial divisible by p, where every residue solves.
+The two `solve-modulus-30375` cases were added before listings were
+streamed from CRT classes: their 728 solutions come from four classes
+with four different moduli, 45, 1125, 1215 and 30375.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -92,6 +95,9 @@ COMMANDS = {
     "solve-list-text-8193": ["solve", "--poly", "X^2*(X-1)", "--prime", "2", "--exp", "27"],
     "solve-modulus-360-json": ["solve", "--poly", "X^2-1", "--modulus", "360",
                                "--format", "json"],
+    "solve-modulus-30375": ["solve", "--poly", "X^3*(X-1)", "--modulus", "30375"],
+    "solve-modulus-30375-json": ["solve", "--poly", "X^3*(X-1)", "--modulus", "30375",
+                                 "--format", "json"],
     "classify-text": ["classify", "--poly", "X^2+3*X+9", "--prime", "3"],
     "classify-json": ["classify", "--poly", "X^2-17", "--prime", "13", "--format", "json"],
     "poincare-certified": ["poincare", "--poly", "X*(X-1)^2+25", "--prime", "5"],

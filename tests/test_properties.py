@@ -33,7 +33,7 @@ from padic_trunk.cli import _all_digits, _write
 from padic_trunk.polynomial import (
     ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
 from padic_trunk.primes import is_prime
-from padic_trunk.solver import _ball
+from padic_trunk.solver import _BLOCK, _ball, _class_blocks
 from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
 from invariants import check_trunk
@@ -643,6 +643,61 @@ def test_crt_recombination_equals_the_product_reference(coeffs, exps):
 
 
 # ----------------------------------------------------------------------
+# streamed listings of disjoint classes against their ranges
+# ----------------------------------------------------------------------
+
+def disjoint_classes(rng, count):
+    """Disjoint classes r mod M, M dividing n, with exactly count members in [0, n).
+
+    Random splits of 0 mod 1 by the primes of n give leaves of several
+    moduli; some leaves are kept whole, and members of the others are kept
+    as classes mod n until the count is reached.
+    """
+    exps = [rng.randint(0, 9), rng.randint(0, 6), rng.randint(0, 4)]
+    if rng.random() < 0.2:
+        exps[0] += 60  # moduli far beyond any window
+    n = 2**exps[0] * 3**exps[1] * 5**exps[2]
+    assume(n >= count)
+    leaves = [(0, 1)]
+    for _ in range(rng.randint(0, 40)):
+        r, M = leaves.pop(rng.randrange(len(leaves)))
+        q = rng.choice([q for q in (2, 3, 5) if n % (M * q) == 0] or [1])
+        leaves += [(r + i * M, M * q) for i in range(q)] if q > 1 else [(r, M)]
+    rng.shuffle(leaves)
+    classes, rest, total = [], [], 0
+    for r, M in leaves:
+        if total + n // M <= count and rng.random() < 0.7:
+            classes.append((r, M))
+            total += n // M
+        else:
+            rest.append((r, M))
+    for r, M in rest:
+        for x in range(r, n, M):
+            if total == count:
+                return classes, n
+            classes.append((x, n))
+            total += 1
+    return classes, n
+
+
+@settings(deterministic, max_examples=120)
+@given(count=st.sampled_from([0, 1, 4095, 4096, 4097, 8193]), seed=st.integers(0, 10**6))
+def test_class_blocks_stream_the_sorted_members(count, seed):
+    classes, n = disjoint_classes(random.Random(seed), count)
+    groups = {}
+    for r, M in classes:
+        groups.setdefault(M, []).append(r)
+    blocks = list(_class_blocks(groups, n))
+    for block, following in zip(blocks, blocks[1:]):
+        assert block[-1] < following[0]
+    assert all(block and block == sorted(block) for block in blocks)
+    assert all(len(block) <= _BLOCK + len(classes) + 1 for block in blocks)
+    listed = [x for block in blocks for x in block]
+    assert listed == sorted(x for r, M in classes for x in range(r, n, M))
+    assert len(listed) == count
+
+
+# ----------------------------------------------------------------------
 # the CLI's JSON writer against json.dumps
 # ----------------------------------------------------------------------
 
@@ -680,3 +735,13 @@ def test_writer_equals_json_dumps_of_the_stringified_document(doc):
     with _all_digits():
         _write(doc, "", parts)
         assert "".join(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("sizes", [[], [1], [4096, 1], [3, 4095, 4097]])
+def test_writer_prints_a_stream_of_int_blocks_as_its_list(sizes):
+    rng = random.Random(len(sizes))
+    blocks = [rng.choices(range(-10**12, 10**12), k=size) for size in sizes]
+    doc = {"a": [1], "solutions": [x for block in blocks for x in block]}
+    parts = []
+    _write({**doc, "solutions": iter(blocks)}, "", parts)
+    assert "".join(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
