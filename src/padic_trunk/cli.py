@@ -6,11 +6,11 @@ values survive any JSON consumer.  One writer, `_write`, prints the
 bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
 with its ints as strings.  A listing reaches it, and the text output, as
 the solver's stream of sorted blocks of about 4096 ints, so no int list is
-held: a JSON listing peaks at about 40 MB per million solutions, twice the
-bytes printed.  Each command
-computes its answer and renders the whole output before anything is
-printed, all with CPython's limit on int-to-str digits lifted; the
-parser caps each integer literal at its own MAX_DIGITS instead.
+held.  Each command computes its answer and renders its whole output, as
+a list of parts, before anything is printed, with CPython's limit on
+int-to-str digits lifted (the parser caps each literal at MAX_DIGITS
+instead); `main` writes the parts one by one, never joined, so a listing
+peaks at about one copy of the bytes printed.
 Diagnostics go to stderr with a nonzero exit code; no output is emitted
 on error paths.  `main` may be called repeatedly in one process: the
 argument parser is built once.
@@ -84,11 +84,19 @@ def _write(value, indent: str, parts: list[str]) -> None:
         parts.append("\n" + indent + "]")
 
 
-def _json(command: str, inputs: dict, payload: dict) -> str:
+def _json(command: str, inputs: dict, payload: dict) -> list[str]:
     parts: list[str] = []
     _write({"schema_version": SCHEMA_VERSION, "command": command,
             "input": inputs, "payload": payload}, "", parts)
-    return "".join(parts)
+    return parts
+
+
+def _text(lines: list[str], blocks: Iterable[list[int]] | None) -> list[str]:
+    """The lines, then a last line "solutions: ..." with the blocks' ints, if any."""
+    parts = ["\n".join(lines)]
+    if blocks is not None:
+        parts += ["\nsolutions: ", *_int_blocks(blocks, "%d", " ")]
+    return parts
 
 
 @contextlib.contextmanager
@@ -188,16 +196,16 @@ def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trunk(args: argparse.Namespace) -> str:
+def _cmd_trunk(args: argparse.Namespace) -> list[str]:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
     if args.with_fans is not None and args.with_fans < 0:
         raise ValueError("--with-fans must be non-negative")
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     if args.format == "text":
-        return _trunk_text(trunk)
+        return [_trunk_text(trunk)]
     if args.format == "dot":
-        return _trunk_dot(trunk, args.with_fans)
+        return [_trunk_dot(trunk, args.with_fans)]
     nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
     payload = {
         "polynomial": poly_to_str(trunk.P0),
@@ -232,7 +240,7 @@ def _balls_text(decomposition) -> list[str]:
     return out
 
 
-def _solve_prime_power(args: argparse.Namespace) -> str:
+def _solve_prime_power(args: argparse.Namespace) -> list[str]:
     p, e = args.prime, args.exp
     # levels past phi >= e never reach the answer at e
     trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
@@ -243,9 +251,7 @@ def _solve_prime_power(args: argparse.Namespace) -> str:
         lines = [f"modulus: {p}^{e}", f"count: {count}"]
         if args.balls:
             lines += ["balls:", *_balls_text(decomposition)]
-        if blocks is not None:
-            lines.append("solutions: " + "".join(_int_blocks(blocks, "%d", " ")))
-        return "\n".join(lines)
+        return _text(lines, blocks)
     payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
     if args.balls:
         payload["balls"] = _balls_json(decomposition)
@@ -254,7 +260,7 @@ def _solve_prime_power(args: argparse.Namespace) -> str:
     return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
 
 
-def _solve_modulus(args: argparse.Namespace) -> str:
+def _solve_modulus(args: argparse.Namespace) -> list[str]:
     result = crt_solve(parse(args.poly), args.modulus, count_only=True)
     blocks = None if args.count_only else _listing([d for _, d in result.factors])
     if args.format == "text":
@@ -264,9 +270,7 @@ def _solve_modulus(args: argparse.Namespace) -> str:
             for pp, decomposition in result.factors:
                 lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
                 lines += _balls_text(decomposition)
-        elif blocks is not None:
-            lines.append("solutions: " + "".join(_int_blocks(blocks, "%d", " ")))
-        return "\n".join(lines)
+        return _text(lines, None if args.balls else blocks)
     payload = {"n": args.modulus, "count": result.count, "factors": [
         {"p": pp.p, "e": pp.e, "count": decomposition.count,
          "balls": _balls_json(decomposition)}
@@ -276,7 +280,7 @@ def _solve_modulus(args: argparse.Namespace) -> str:
     return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
 
 
-def _cmd_solve(args: argparse.Namespace) -> str:
+def _cmd_solve(args: argparse.Namespace) -> list[str]:
     if args.modulus is not None:
         if args.prime is not None or args.exp is not None:
             raise ValueError("--modulus excludes --prime/--exp")
@@ -290,11 +294,11 @@ def _cmd_solve(args: argparse.Namespace) -> str:
 # classify
 # ----------------------------------------------------------------------
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> list[str]:
     result = classify_quadratic(parse(args.poly), args.prime)
     base = "infinite" if result.base_length is None else str(result.base_length)
     if args.format == "text":
-        return f"kind: {result.kind}\nbase stem length: {base}"
+        return [f"kind: {result.kind}\nbase stem length: {base}"]
     return _json("classify", {"poly": args.poly, "prime": args.prime},
                  {"kind": result.kind, "base_length": base})
 
@@ -303,7 +307,7 @@ def _cmd_classify(args: argparse.Namespace) -> str:
 # poincare
 # ----------------------------------------------------------------------
 
-def _cmd_poincare(args: argparse.Namespace) -> str:
+def _cmd_poincare(args: argparse.Namespace) -> list[str]:
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
@@ -320,13 +324,13 @@ def _cmd_poincare(args: argparse.Namespace) -> str:
         numerator = _render_terms(enumerate(series.numerator), "u")
         denominator = _render_terms(enumerate(series.denominator), "u")
     if args.format == "text":
-        return "\n".join([
+        return ["\n".join([
             f"certified: {'true' if series.certified else 'false'}",
             f"S(u) = ({numerator}) / ({denominator})" if series.certified
             else "closed form not certified; partial coefficients only",
             f"coefficients N_e/p^e (e = 0..{horizon}): "
             + ", ".join(str(c) for c in coeffs),
-            f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])
+            f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])]
     payload: dict = {
         "certified": series.certified,
         "horizon": horizon,
@@ -418,11 +422,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         with _all_digits():
-            out = args.handler(args)
+            parts = args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(out)
+    sys.stdout.writelines([*parts, "\n"])  # never joined: a listing is held once
     return 0
 
 

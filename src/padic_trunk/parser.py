@@ -18,16 +18,21 @@ at most MAX_DIGITS of them on every Python.
 
 The text is tokenized once, and one walk over the tokens computes the
 value as it reads it, with no tree in between.  parse walks twice: first
-over zeros, which checks the whole text in linear time, so a syntax error
-anywhere beats any expansion; then over Polynomial values.
+over cost estimates, checking the whole text, so a syntax error or a cost
+past MAX_COST beats any expansion; then over Polynomial values.
 """
 
 from __future__ import annotations
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _power
 
 #: Largest accepted exponent literal, and largest expanded power degree.
 MAX_EXPONENT = 10_000
+
+#: Largest accepted estimate of the expansion's products of 30-bit digits (not
+#: its sums).  Each took 0.8-1.5 ns on CPython 3.11: (X+1)^1000*(X+2)^1000 at
+#: 2.7e9 takes 1.7-3.2 s, and (X^2+1)^5000 at 1.5e11 took 268 s before this bound.
+MAX_COST = 4 * 10**9
 
 #: Deepest accepted nesting of parentheses; bounds the parser's recursion.
 MAX_NESTING = 100
@@ -192,6 +197,29 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", at)
 
 
+class _Cost:
+    """Bounds on a value's degree and on log2 of its absolute coefficient sum; its
+    products add their (d1 + 1) * (d2 + 1) coefficient products to one walk's spent."""
+
+    __slots__ = ("degree", "log", "spent")
+
+    def __init__(self, degree: int, log: int, spent: list[int]):
+        self.degree, self.log, self.spent = degree, log, spent
+
+    def __add__(self, other: _Cost) -> _Cost:
+        return _Cost(max(self.degree, other.degree), max(self.log, other.log) + 1, self.spent)
+
+    __sub__ = __add__
+
+    def __neg__(self) -> _Cost:
+        return self
+
+    def __mul__(self, other: _Cost) -> _Cost:
+        self.spent[0] += ((self.degree + 1) * (other.degree + 1)
+                          * (self.log // 30 + 1) * (other.log // 30 + 1))
+        return _Cost(self.degree + other.degree, self.log + other.log, self.spent)
+
+
 def _polynomial_power(base: Polynomial, exp: int, at: int) -> Polynomial:
     if not base.is_zero and base.degree * exp > MAX_EXPONENT:
         raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
@@ -206,6 +234,10 @@ def _evaluate_at(text: str, x: int) -> int:
 def parse(text: str, variable: str = "X") -> Polynomial:
     """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
     parser = _Parser(text, variable)
-    # a walk over zeros checks the whole text before any power is expanded
-    parser.walk(lambda n: 0, 0, lambda value, exp, at: 0)
+    # a walk over cost estimates checks the whole text before any power is expanded
+    spent = [0]
+    parser.walk(lambda n: _Cost(0, (abs(n) - 1).bit_length(), spent), _Cost(1, 0, spent),
+                lambda value, exp, at: _power(value, exp, _Cost(0, 0, spent)))
+    if spent[0] > MAX_COST:
+        raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
     return parser.walk(lambda n: Polynomial((n,)), Polynomial((0, 1)), _polynomial_power)

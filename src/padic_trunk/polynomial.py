@@ -140,14 +140,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial((1,)))
 
     def derivative(self) -> "Polynomial":
         return Polynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
@@ -379,6 +372,14 @@ def _roots_by_gcd(red: Polynomial, p: int) -> list[int]:
                 stack.append(_divmod_p(g, h, p)[0])
                 break
     return sorted(roots)
+
+
+def _power(base, n: int, one):
+    """base**n from one by squaring, multiplying in the bits of n from the lowest."""
+    for i in range(n.bit_length()):
+        base = base * base if i else base
+        one = one * base if n >> i & 1 else one
+    return one
 
 
 def _coerce(value: object) -> Polynomial | None:

@@ -44,8 +44,9 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
 
     P(r + p*X) = p**t * Q(X) with t maximal, so p does not divide Q.
     Requires p not dividing P itself and P(r) = 0 (mod p).  With a_j the
-    coefficients of P(r + X), t = min_j (j + v_p(a_j)), each valuation
-    searched up to the least t so far, and Q_j = a_j * p**(j - t).
+    coefficients of P(r + X), t = min_j (j + v_p(a_j)); each valuation below
+    t - j, t the least so far, is read off one remainder a_j % p**(t - j) by
+    small-int divisions, at j = 0 also the root test; Q_j = a_j * p**(j - t).
     """
     if P.is_zero or not _unit_content(P, p):
         raise ValueError("unnormalized input: p divides P")
@@ -53,13 +54,14 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
     for i in range(n - 1 if r else 0):
         for j in range(n - 2, i - 1, -1):
             a[j] += r * a[j + 1]
-    if a[0] % p:  # a_0 = P(r)
-        raise ValueError(f"not a root: P({r}) is nonzero modulo {p}")
     t = n
     for j, c in enumerate(a):
-        while j < t and c % p == 0:
-            c, j = c // p, j + 1
-        t = j if j < t else t
+        if j < t and (rem := c % p ** (t - j)):  # v_p(a_j) < t - j
+            t = j
+            while rem % p == 0:
+                rem, t = rem // p, t + 1
+            if t == 0:  # a_0 = P(r)
+                raise ValueError(f"not a root: P({r}) is nonzero modulo {p}")
     return t, Polynomial._of([c // p ** (t - j) if j < t else c * p ** (j - t)
                               for j, c in enumerate(a)])
 
@@ -100,7 +102,7 @@ def hensel_lift(P: Polynomial, x1: int, p: int, e: int) -> int:
     return x
 
 
-@dataclass
+@dataclass(slots=True)
 class TrunkNode:
     """Vertex (r, k) of the trunk: the residue class r modulo p**k.
 
@@ -172,8 +174,8 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     Per level, the roots of the current successor modulo p come from
     reduced_roots, in about deg(P)**2 * log p operations mod p, and each
     root gets a child carrying its thickness, successor and residual
-    degree.  Each successor is reduced mod p once, for both its residual
-    degree and its roots.
+    degree.  Each successor is reduced mod p once, up to X**t (p divides the
+    rest), for both its residual degree and its roots.
 
     Branch endings:
       * residual degree 0, or no mod-p roots of the successor: "leaf";
@@ -233,7 +235,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
         node.status = STATUS_EXPANDED
         for rho in roots:
             t, successor = thickness(node.successor, rho, p)
-            red = successor.reduce_mod(p)
+            red = Polynomial._of([c % p for c in successor.coeffs[:t + 1]])
             child = TrunkNode(r=node.r + rho * pk, k=node.k + 1, t=t,
                               phi=node.phi + t, successor=successor,
                               s=red.degree)

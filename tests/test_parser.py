@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from padic_trunk import ParseError, Polynomial, X, parse, poly_to_str
-from padic_trunk.parser import MAX_DIGITS, _evaluate_at
+from padic_trunk import parser
+from padic_trunk.parser import MAX_COST, MAX_DIGITS, _evaluate_at
 
 
 def test_product_expansion():
@@ -95,6 +96,33 @@ def test_whole_text_is_checked_before_any_power_is_expanded(monkeypatch):
     with pytest.raises(ParseError, match="unbalanced parenthesis") as info:
         parse("(X+1)^10000)")
     assert info.value.position == 11
+
+
+def test_an_expansion_past_the_cost_bound_is_refused_before_it_starts(monkeypatch):
+    def refuse(self, exponent):
+        raise AssertionError("a power was expanded")
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    # every power is within MAX_EXPONENT, yet expanding (X^2+1)^5000 takes minutes
+    for text in ["(X^2+1)^5000 - (X^9)^9^9", "(X+1)^3000", "(X+1)^2000 * (X+1)^2000"]:
+        with pytest.raises(ParseError, match=f"estimated expansion cost exceeds bound {MAX_COST}"):
+            parse(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(X+1)^1000*(X+2)^1000",
+    "(X+1)^2000",
+    "+".join(f"X^{i}" for i in range(1200)),
+    "(X-19)^83*(X-30)^83*(X^2+5*X+23)^28*(X^3-7*X^2-13*X-16)^19",
+])
+def test_expansions_within_the_cost_bound_go_ahead(text, monkeypatch):
+    class Expanded(Exception):
+        pass
+
+    def expanded(base, exp, at):
+        raise Expanded
+    monkeypatch.setattr(parser, "_polynomial_power", expanded)
+    with pytest.raises(Expanded):
+        parse(text)
 
 
 def test_round_trip():

@@ -38,6 +38,17 @@ def test_zero_polynomial_has_no_degree_or_content():
         zero.shift_scale(0, 3)
 
 
+def test_a_power_squares_only_up_to_the_top_bit_of_its_exponent(monkeypatch):
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for n in range(34):
+        products.clear()
+        assert (X + 2) ** n == Polynomial([math.comb(n, i) * 2 ** (n - i) for i in range(n + 1)])
+        # one squaring per bit below the top one, one product per set bit
+        assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
+
 def test_shift_scale_examples():
     # P(3X) picks up the full content 27
     assert EX1.shift_scale(0, 3) == 27 * ((3 * X**2 + 1) * (X**2 + X + 1))

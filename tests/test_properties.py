@@ -87,8 +87,30 @@ def thickness_inputs(draw):
     return Polynomial(cs), r, p
 
 
-@settings(deterministic, max_examples=300)
-@given(case=thickness_inputs())
+@st.composite
+def shifted_thickness_inputs(draw):
+    """(P, r, p) from the coefficients a_j of P(r + X), drawn directly.
+
+    Degree up to 12; some a_j are exactly 0, valuations reach past the
+    degree, and j + v_p(a_j) often lands next to a drawn level, so the
+    least thickness is often decided by one.
+    """
+    p = draw(st.sampled_from([2, 3, 13, 2**61 - 1]))
+    n = draw(st.integers(1, 12))
+    level = draw(st.integers(1, n + 1))
+    unit = st.integers(-2**200, 2**200).filter(lambda u: u % p)
+    a = [draw(st.one_of(st.just(0), unit)) * p ** max(0, draw(st.one_of(
+            st.integers(0, n + 3), st.integers(level - j - 1, level - j + 1))))
+         for j in range(n + 1)]
+    # a unit at some X**j, j >= 1, and p | a_0, so r is a root and p does not divide P
+    a[draw(st.integers(1, n))] = draw(unit)
+    a[0] *= p
+    r = draw(st.one_of(st.just(0), st.integers(-2 * p, 2 * p), st.integers(-2**100, 2**100)))
+    return Polynomial(a).shift_scale(-r, 1), r, p
+
+
+@settings(deterministic, max_examples=600)
+@given(case=st.one_of(thickness_inputs(), shifted_thickness_inputs()))
 def test_thickness_is_the_content_of_the_shifted_polynomial(case):
     P, r, p = case
     assert thickness(P, r, p) == P.shift_scale(r, p).p_content(p)
