@@ -24,6 +24,8 @@ past MAX_COST beats any expansion; then over Polynomial values.
 
 from __future__ import annotations
 
+from math import log2
+
 from .polynomial import Polynomial, _power
 
 #: Largest accepted exponent literal, and largest expanded power degree.
@@ -31,7 +33,7 @@ MAX_EXPONENT = 10_000
 
 #: Largest accepted estimate of the expansion's products of 30-bit digits (not
 #: its sums).  Each took 0.8-1.5 ns on CPython 3.11: (X+1)^1000*(X+2)^1000 at
-#: 2.7e9 takes 1.7-3.2 s, and (X^2+1)^5000 at 1.5e11 took 268 s before this bound.
+#: 2.1e9 takes 1.7-3.2 s, and (X^2+1)^5000 at 1.5e11 took 268 s before this bound.
 MAX_COST = 4 * 10**9
 
 #: Deepest accepted nesting of parentheses; bounds the parser's recursion.
@@ -133,12 +135,10 @@ class _Parser:
             kind, op, _ = self.peek()
             if kind == "op" and op == "*":
                 self.advance()
-                value = value * self.factor()
-            elif kind in ("int", "name") or (kind == "op" and op == "("):
-                # implicit multiplication: "3X", "(X+1)(X+2)", "2(X-1)"
-                value = value * self.factor()
-            else:
+            elif not (kind in ("int", "name") or (kind == "op" and op == "(")):
                 return value
+            # "*", or adjacency: "3X", "(X+1)(X+2)", "2(X-1)"
+            value = value * self.factor()
 
     def factor(self):
         signs = 0
@@ -159,15 +159,12 @@ class _Parser:
                 return value
 
     def exponent(self) -> int:
-        kind, value, at = self.peek()
-        negative = False
-        if kind == "op" and value == "-":
-            negative = True
+        negative = self.peek()[:2] == ("op", "-")
+        if negative:
             self.advance()
-            kind, value, at = self.peek()
+        kind, value, at = self.advance()
         if kind != "int":
             raise ParseError("exponent must be an integer literal", at)
-        self.advance()
         if negative:
             raise ParseError("negative exponent not allowed", at)
         if value > MAX_EXPONENT:
@@ -198,16 +195,18 @@ class _Parser:
 
 
 class _Cost:
-    """Bounds on a value's degree and on log2 of its absolute coefficient sum; its
-    products add their (d1 + 1) * (d2 + 1) coefficient products to one walk's spent."""
+    """Bounds on a value's degree and on log2 of its absolute coefficient sum, which
+    is submultiplicative; products add their products of 30-bit digits to spent."""
 
     __slots__ = ("degree", "log", "spent")
 
-    def __init__(self, degree: int, log: int, spent: list[int]):
+    def __init__(self, degree: int, log: float, spent: list[float]):
         self.degree, self.log, self.spent = degree, log, spent
 
     def __add__(self, other: _Cost) -> _Cost:
-        return _Cost(max(self.degree, other.degree), max(self.log, other.log) + 1, self.spent)
+        a, b = self.log, other.log
+        log = a + log2(1 + 2.0 ** (b - a)) if a >= b else b + log2(1 + 2.0 ** (a - b))
+        return _Cost(max(self.degree, other.degree), log, self.spent)
 
     __sub__ = __add__
 
@@ -234,10 +233,12 @@ def _evaluate_at(text: str, x: int) -> int:
 def parse(text: str, variable: str = "X") -> Polynomial:
     """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
     parser = _Parser(text, variable)
-    # a walk over cost estimates checks the whole text before any power is expanded
-    spent = [0]
-    parser.walk(lambda n: _Cost(0, (abs(n) - 1).bit_length(), spent), _Cost(1, 0, spent),
-                lambda value, exp, at: _power(value, exp, _Cost(0, 0, spent)))
+    # a walk over cost estimates checks the whole text before any power is expanded;
+    # past MAX_COST the text is refused, and skipping the powers keeps the walk linear
+    spent = [0.0]
+    parser.walk(lambda n: _Cost(0, log2(abs(n) or 1), spent), _Cost(1, 0.0, spent),
+                lambda value, exp, at: value if spent[0] > MAX_COST
+                else _power(value, exp, _Cost(0, 0.0, spent)))
     if spent[0] > MAX_COST:
         raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
     return parser.walk(lambda n: Polynomial((n,)), Polynomial((0, 1)), _polynomial_power)

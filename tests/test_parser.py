@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -102,16 +103,22 @@ def test_an_expansion_past_the_cost_bound_is_refused_before_it_starts(monkeypatc
     def refuse(self, exponent):
         raise AssertionError("a power was expanded")
     monkeypatch.setattr(Polynomial, "__pow__", refuse)
-    # every power is within MAX_EXPONENT, yet expanding (X^2+1)^5000 takes minutes
-    for text in ["(X^2+1)^5000 - (X^9)^9^9", "(X+1)^3000", "(X+1)^2000 * (X+1)^2000"]:
+    # every power is within MAX_EXPONENT, yet expanding (X^2+1)^5000 takes minutes;
+    # "^" folds left, so each link of a chain multiplies the degree or the bits by 9999
+    chains = [base + "^9999" * 5000 for base in ("X", "2", "(X+1)")]
+    for text in ["(X^2+1)^5000 - (X^9)^9^9", "(X+1)^3000", "(X+1)^2000 * (X+1)^2000", *chains]:
+        start = time.perf_counter()
         with pytest.raises(ParseError, match=f"estimated expansion cost exceeds bound {MAX_COST}"):
             parse(text)
+        assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("text", [
     "(X+1)^1000*(X+2)^1000",
     "(X+1)^2000",
     "+".join(f"X^{i}" for i in range(1200)),
+    # a sum of n terms has coefficients of about log2(n) bits, not n
+    "(" + "+".join(f"X^{i}" for i in range(100)) + ")^40",
     "(X-19)^83*(X-30)^83*(X^2+5*X+23)^28*(X^3-7*X^2-13*X-16)^19",
 ])
 def test_expansions_within_the_cost_bound_go_ahead(text, monkeypatch):
