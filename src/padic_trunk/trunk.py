@@ -7,15 +7,15 @@ fully determined by a compact subtree, the trunk: each trunk vertex
 cumulative thickness phi along the path tells exactly which levels the
 vertex accounts for.  This module computes thicknesses, successors and
 residual degrees, builds the trunk level by level, certifies infinite
-branches (simple roots, and the powers c*(a*X - b)**n, the only trunks
-in which a branch repeats a state), and lifts their simple roots to
-arbitrary prime-power moduli.
+branches (simple roots, and the simple roots of S in a power c*S**m,
+whose branches repeat thickness m forever), and lifts their simple roots
+to arbitrary prime-power moduli.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 from .polynomial import Polynomial, reduced_roots
@@ -111,7 +111,7 @@ class TrunkNode:
     successor the polynomial driving the next level, and s its residual
     degree (degree of the successor reduced mod p).  A certified vertex's
     continuation lifts hensel_root, the simple root mod p of its tail: the
-    successor on a Hensel vertex, the successor's linear factor on a power one.
+    successor on a Hensel vertex, S(r + p*X) / p on a power one.
     """
 
     r: int
@@ -182,8 +182,10 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
       * thickness 1 with residual degree 1: "hensel-certified" (a simple
         root whose unique infinite thickness-1 continuation is lifted on
         demand by Newton doubling rather than stored);
-      * the level-1 vertex of P0 = c*(a*X - b)**n, n >= 2, even at
-        max_level 1: "power-certified", thickness n at every further level;
+      * a level-1 vertex at a simple root r mod p of S, where P0 = c*S**m
+        with S primitive and m >= 2, even at max_level 1: "power-certified",
+        thickness m at every further level along the lifted root of S (the
+        test runs at level-1 vertices with t = s = m, m | deg P0, once per m);
       * anything still open at max_level: "undetermined".
 
     With levels_only, a branch stops once its cumulative thickness phi
@@ -203,7 +205,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     t0, p0 = P.p_content(p)
     red = p0.reduce_mod(p)
     root = TrunkNode(r=0, k=0, t=None, phi=0, successor=p0, s=red.degree)
-    linear = _linear_factor(p0)
+    roots_of_powers: dict[int, Polynomial | None] = {}  # m -> S with P0 = c*S**m
     # each open vertex (r, k) travels with its successor reduced mod p and p**k
     stack = [(root, red, 1)]
     while stack:
@@ -215,11 +217,16 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
         if node.t == 1:
             # thickness 1 with s = 1: a simple root, infinite by lifting
             node.status, node.tail = STATUS_HENSEL, node.successor
-        elif node.k == 1 and linear is not None:
-            # linear(r + p*X) = p * tail, and the successor is c * tail**n
-            c0, a = linear.coeffs
-            node.status, node.tail = STATUS_POWER, Polynomial([(c0 + a * node.r) // p, a])
-            red = node.tail.reduce_mod(p)
+        elif node.k == 1 and node.t == node.s and p0.degree % node.t == 0:
+            m = node.t
+            if m not in roots_of_powers:
+                roots_of_powers[m] = _power_root(p0, m)
+            if (S := roots_of_powers[m]) is not None:
+                # S(r + p*X) = p * tail and the successor is c * tail**m; as
+                # s = m, the tail is linear mod p: r is a simple root of S
+                node.status = STATUS_POWER
+                node.tail = Polynomial._of([c // p for c in S.shift_scale(node.r, p).coeffs])
+                red = node.tail.reduce_mod(p)
         if node.tail is not None:
             b, a = red.coeffs
             node.hensel_root = -b * pow(a, -1, p) % p
@@ -244,21 +251,26 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
     return Trunk(p=p, t0=t0, P0=p0, root=root, built_depth=max_level)
 
 
-def _linear_factor(Q: Polynomial) -> Polynomial | None:
-    """The primitive a*X - b, a > 0, if Q = c*(a*X - b)**n with n >= 2, else None.
+def _power_root(Q: Polynomial, m: int) -> Polynomial | None:
+    """The primitive S, lc(S) > 0, if Q = c*S**m for m dividing n = deg Q, else None.
 
-    With b/a = -Q[n-1] / (n*Q[n]), term = Q[n] * binomial(n, i) * (-b)**(n-i)
-    must equal Q[i] * a**(n-i) from the top down; most non-powers fail at X**(n-2).
+    With a = lc(Q) and d = n/m, Q = a*R**m for a monic rational R exactly when
+    the monic F = a**(n-1) * Q(X/a) is U**m with U = a**d * R(X/a), which lies
+    in Z[X] by Gauss's lemma.  U's coefficients u_k of X**(d-k) come from the
+    top by J.C.P. Miller's recurrence for F**(1/m); a non-power fails at the
+    first u_k that is not an integer or, past k = d, not zero.  S is U(a*X)
+    made primitive.
     """
-    cs = Q.coeffs
-    n = len(cs) - 1
-    if n < 2:
-        return None
-    root = Fraction(-cs[n - 1], n * cs[n])
-    b, a = root.numerator, root.denominator
-    term, scale = cs[n], 1
-    for i in range(n - 1, -1, -1):
-        term, scale = term * (i + 1) * -b // (n - i), scale * a
-        if cs[i] * scale != term:
+    cs = Q.coeffs[::-1]
+    n, a = len(cs) - 1, cs[0]
+    d = n // m
+    f = [1] + [c * a ** (j - 1) for j, c in enumerate(cs) if j]
+    u = [1]
+    for k in range(1, n + 1):
+        total = sum(((m + 1) * j - k * m) * f[j] * u[k - j] for j in range(max(1, k - d), k + 1))
+        if total % (k * m) or (k > d and total):
             return None
-    return Polynomial([-b, a])
+        u.append(total // (k * m))
+    S = [u[k] * a ** (d - k) for k in range(d, -1, -1)]
+    g = math.gcd(*S)
+    return Polynomial._of([c // (g if S[-1] > 0 else -g) for c in S])

@@ -14,7 +14,8 @@ TRUNK_CASES = [
     ("(X-1)^2+3^5", 3, 6),              # thickness-2 stem, dead end
     ("(X-1)^2+3^4", 3, 6),              # stem that stops outright
     ("(X-1)*(X-2)+5", 5, 4),            # two lifted branches
-    ("(X^2-17)^2", 13, 3),              # open branches at depth
+    ("(X^2-17)^2", 13, 3),              # power tails at both roots of X^2-17
+    ("(X^2-17)^2*(X-3)", 13, 3),        # open branches at depth
     ("9*X^2+9", 3, 3),                  # p-content shift (t0 = 2)
     ("7", 7, 2),                        # constant with content
     ("X^2+1", 3, 3),                    # no roots at all

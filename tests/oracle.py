@@ -59,19 +59,44 @@ def lifted_levels(P: Polynomial, p: int, max_e: int):
 
 
 def random_case(rng: random.Random) -> tuple[Polynomial, int]:
-    """(P, p): content 1, p or p**2 times up to three powers of linear factors.
+    """(P, p): content 1, p or p**2 times up to three powers of linear factors,
+    or, one time in three, times c*S**m for m in {2, 3} and S a product of one
+    or two monic quadratics or cubics irreducible over Q.
 
     Leading coefficients run up to p, so some factors have no root mod p,
     and a factor's root often agrees with the previous one to a few digits.
+    The roots of S mod p may be simple, double or absent.
     """
     p = rng.choice(PRIMES)
     P = Polynomial([rng.choice([1, p, p * p])])
+    if rng.random() < 1 / 3:
+        S = Polynomial([1])
+        for _ in range(rng.randint(1, 2)):
+            S = S * irreducible_factor(rng, p, rng.randint(2, 3))
+        return P * rng.choice([1, -1, 2, 3]) * S ** rng.randint(2, 3), p
     b = rng.randint(-p * p, p * p)
     for _ in range(rng.randint(1, 3)):
         a = rng.randint(1, p)
         b = b + p ** rng.randint(1, 4) if rng.random() < 0.5 else rng.randint(-p * p, p * p)
         P = P * Polynomial([-b, a]) ** rng.randint(1, 3)
     return P, p
+
+
+def irreducible_factor(rng: random.Random, p: int, degree: int) -> Polynomial:
+    """A monic quadratic or cubic over Z with no rational root, so irreducible.
+
+    Its constant term is often a multiple of p and its X term a small
+    multiple of p, so mod p it often has a double root at 0.
+    """
+    while True:
+        cs = [rng.randint(-p * p, p * p) for _ in range(degree)] + [1]
+        if rng.random() < 0.3:
+            cs[0], cs[1] = p * rng.randint(1, p), p * rng.randint(-2, 2)
+        # a rational root of a monic integer polynomial is an integer dividing cs[0]
+        if cs[0] and not any(Polynomial(cs).evaluate(x) == 0
+                             for d in range(1, abs(cs[0]) + 1) if cs[0] % d == 0
+                             for x in (d, -d)):
+            return Polynomial(cs)
 
 
 def check_case(P: Polynomial, p: int, rng: random.Random) -> tuple[int, int]:

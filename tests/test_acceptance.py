@@ -114,7 +114,7 @@ def test_criterion_06_invariant_suite(fixture_trunks):
         # thickness bounds, cumulative-thickness additivity, level widths,
         # the exact identity P0(r + p^k X) = p^phi * successor, and the
         # disjoint-ball accounting all hold on every fixture trunk.
-        assert len(fixture_trunks) == 12
+        assert len(fixture_trunks) == 13
         for _, _, trunk in fixture_trunks:
             for node in trunk.iter_nodes():
                 assert 1 <= node.t <= trunk.P0.degree

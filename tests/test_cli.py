@@ -39,10 +39,10 @@ def test_trunk_statuses_in_text(capsys):
 
 def test_trunk_text_deep_branch(capsys):
     # deeper than the interpreter's recursion limit
-    code, out, err = run_cli(capsys, "trunk", "--poly", "(X^2-17)^2", "--prime", "13",
+    code, out, err = run_cli(capsys, "trunk", "--poly", "(X^2-17)^2*(X-3)", "--prime", "13",
                              "--max-level", "1100")
     assert code == 0 and err == ""
-    trunk = build_trunk(parse("(X^2-17)^2"), 13, 1100)
+    trunk = build_trunk(parse("(X^2-17)^2*(X-3)"), 13, 1100)
     lines = out.splitlines()
     assert len(lines) == 6 + sum(1 for _ in trunk.iter_nodes())
     assert lines[-1].endswith("phi=2200 undetermined")
@@ -235,7 +235,7 @@ def test_poincare_certified(capsys):
 
 
 def test_poincare_fallback(capsys):
-    code, out, _ = run_cli(capsys, "poincare", "--poly", "(X^2-17)^2",
+    code, out, _ = run_cli(capsys, "poincare", "--poly", "(X^2-17)^2*(X-3)",
                            "--prime", "13", "--max-level", "2")
     assert code == 0
     assert "certified: false" in out

@@ -19,7 +19,10 @@ ordinary level: its one ball is the root's class 0 mod p^0.  The case
 e <= t0 of a polynomial divisible by p, where every residue solves.
 The two `solve-modulus-30375` cases were added before listings were
 streamed from CRT classes: their 728 solutions come from four classes
-with four different moduli, 45, 1125, 1215 and 30375.
+with four different moduli, 45, 1125, 1215 and 30375.  When powers c*S^m
+were certified at the simple roots of S, the open cases moved from
+`(X^2-17)^2`, now two power-certified vertices, to `(X^2-17)^2*(X-3)`
+and were recorded again; the three `*-square` cases pin the new trunk.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -39,7 +42,8 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
 STEM = "(X^2+3)*(X^2+3*X+9)"
 MIXED = "X^4*(X-1)^3*(X+1)^2"
-OPEN = "(X^2-17)^2"
+OPEN = "(X^2-17)^2*(X-3)"
+SQUARE = "(X^2-17)^2"
 
 COMMANDS = {
     "trunk-text-finite": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5"],
@@ -57,6 +61,9 @@ COMMANDS = {
     "trunk-text-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4"],
     "trunk-json-open": ["trunk", "--poly", OPEN, "--prime", "13", "--max-level", "4",
                         "--format", "json"],
+    "trunk-text-square": ["trunk", "--poly", SQUARE, "--prime", "13", "--max-level", "4"],
+    "trunk-json-square": ["trunk", "--poly", SQUARE, "--prime", "13", "--max-level", "4",
+                          "--format", "json"],
     "trunk-text-mixed": ["trunk", "--poly", MIXED, "--prime", "2", "--max-level", "8"],
     "trunk-dot-mixed": ["trunk", "--poly", MIXED, "--prime", "2", "--max-level", "8",
                         "--format", "dot"],
@@ -105,6 +112,7 @@ COMMANDS = {
     "poincare-certified-json": ["poincare", "--poly", "X*(X-1)^2+25", "--prime", "5",
                                 "--format", "json"],
     "poincare-truncated": ["poincare", "--poly", OPEN, "--prime", "13", "--max-level", "5"],
+    "poincare-square": ["poincare", "--poly", SQUARE, "--prime", "13"],
     "poincare-content": ["poincare", "--poly", "9*(X^2)*(X-1)", "--prime", "3",
                          "--horizon", "12", "--format", "json"],
     "poincare-content-cycle-json": ["poincare", "--poly", "9*X^2", "--prime", "3",

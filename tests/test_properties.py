@@ -9,7 +9,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -148,6 +148,32 @@ def trunk_inputs(draw):
     return P * p ** draw(st.integers(0, 2)), p
 
 
+@st.composite
+def pure_powers(draw, max_degree=3):
+    """(P, p): P = c*S**m with S of degree 1 to max_degree, c often divisible by p.
+
+    A linear S has a and b up to 10**5; a longer one is random or has a
+    double root mod p, the product of X - b and X - b - p**j or (X - b)**2 + p*c.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    degree = draw(st.integers(1, max_degree))
+    kind = draw(st.sampled_from(["random", "split double root", "double root"]))
+    if degree == 1:
+        S = Polynomial([-draw(st.integers(-10**5, 10**5)), draw(st.integers(1, 10**5))])
+    elif kind == "random":
+        S = Polynomial(draw(st.lists(small, min_size=degree, max_size=degree)) + [draw(st.integers(1, 9))])
+    else:
+        b = draw(small)
+        if kind == "split double root":
+            S = Polynomial([-b, 1]) * Polynomial([-b - p ** draw(st.integers(1, 3)), 1])
+        else:
+            S = Polynomial([b * b + p * draw(small), -2 * b, 1])
+        if degree == 3:
+            S = S * Polynomial([draw(small), draw(st.integers(1, 9))])
+    c = draw(st.sampled_from([1, -1, 2, 3, -5])) * p ** draw(st.integers(0, 2))
+    return c * S ** draw(st.integers(2, 6 if degree == 1 else 4)), p
+
+
 def _sufficient_trunk(P, p, trunk, e):
     """The trunk itself, or a rebuild at the max_level the error names."""
     try:
@@ -256,29 +282,58 @@ def test_truncated_series_matches_counts_level_by_level(case, max_level):
         for e in range(trunk.t0 + max_level + 1))
 
 
-def _is_power_of_linear(P):
-    """P = c * (X - y)**n for a rational y."""
+def _roots_of_powers(P):
+    """(m, S) for every m >= 2 with P = c * S**m, S primitive with lc(S) > 0.
+
+    The monic rational R with P = lc(P) * R**m is found by matching the
+    coefficients of R**m from the top: X**(n-k) gets m * R[d-k] plus terms
+    in the coefficients above it.
+    """
     n = P.degree
-    if n == 0:
-        return True
-    lead = P.coeffs[n]
-    y = Fraction(-P.coeffs[n - 1], n * lead)
-    return all(c == lead * comb(n, i) * (-y) ** (n - i) for i, c in enumerate(P.coeffs))
+    monic = [Fraction(c, P.coeffs[-1]) for c in P.coeffs]
+    found = []
+    for m in range(2, n + 1):
+        if n % m:
+            continue
+        d = n // m
+        R = [Fraction(0)] * d + [Fraction(1)]
+        for k in range(1, d + 1):
+            R[d - k] = (monic[n - k] - _power_list(R, m)[n - k]) / m
+        if _power_list(R, m) == monic:
+            scale = lcm(*(r.denominator for r in R))
+            S = [int(r * scale) for r in R]
+            found.append((m, Polynomial([c // gcd(*S) for c in S])))
+    return found
+
+
+def _power_list(cs, m):
+    out = [Fraction(1)]
+    for _ in range(m):
+        out = _mul(out, cs)
+    return out
 
 
 @settings(deterministic, max_examples=200)
-@given(case=trunk_inputs(), max_level=st.integers(1, 14))
-def test_power_certified_iff_a_linear_power_with_a_root_mod_p(case, max_level):
+@given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 14))
+@example(case=(parse("(X^2-17)^2"), 13), max_level=3)
+@example(case=(parse("((X-1)*(X-6)*(X-8))^3"), 5), max_level=3)
+@example(case=(parse("(X^2-1)^2"), 2), max_level=3)
+def test_power_certified_iff_a_pure_power_at_a_simple_root_of_S(case, max_level):
+    # power-certified exactly at the level-1 roots r that are simple for S
+    # in P0 = c * S**m, m >= 2; then t = s = m and the tail is S(r + p*X) / p
     P, p = case
     trunk = build_trunk(P, p, max_level)
-    P0 = trunk.P0
-    expected = (P0.degree >= 2 and _is_power_of_linear(P0)
-                and any(P0.evaluate(x, p) == 0 for x in range(p)))
-    powers = [node for node in trunk.iter_nodes() if node.status == STATUS_POWER]
-    assert bool(powers) == expected
-    if powers:
-        [node] = powers
-        assert (node.k, node.t, node.s) == (1, P0.degree, P0.degree)
+    powers = _roots_of_powers(trunk.P0) if trunk.P0.degree >= 2 else []
+    for node in trunk.iter_nodes():
+        simple = [(m, S) for m, S in powers
+                  if node.k == 1 and S.evaluate(node.r, p) == 0
+                  and S.derivative().evaluate(node.r, p) != 0]
+        assert (node.status == STATUS_POWER) == bool(simple), (node.r, node.k)
+        if simple:
+            [(m, S)] = simple
+            assert (node.t, node.s) == (m, m)
+            assert all(p * node.tail.evaluate(y) == S.evaluate(node.r + p * y)
+                       for y in range(S.degree + 1))
 
 
 def _ancestors(trunk, node):
@@ -303,18 +358,8 @@ def test_no_vertex_repeats_an_ancestor_state(case, max_level):
                     if (a.t, a.successor) == (node.t, node.successor)]
 
 
-@st.composite
-def linear_powers(draw):
-    """(P, p): P = c*(a*X - b)**n, a up to 10**5, c often divisible by p."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 13]))
-    a = draw(st.integers(1, 10**5))
-    b = draw(st.integers(-10**5, 10**5))
-    c = draw(st.sampled_from([1, -1, 2, 3, -5])) * p ** draw(st.integers(0, 3))
-    return c * Polynomial([-b, a]) ** draw(st.integers(2, 6)), p
-
-
 @settings(deterministic, max_examples=150)
-@given(case=linear_powers())
+@given(case=pure_powers(max_degree=1))
 @example(case=(Polynomial([-1, 10007]) ** 2, 3))
 @example(case=(3 * Polynomial([-3, 6]) ** 3, 3))
 def test_linear_powers_resolve_at_level_one(case):
@@ -336,6 +381,37 @@ def test_linear_powers_resolve_at_level_one(case):
     assert series.certified
     assert [c * p**e for e, c in enumerate(series.expand(30))] == [
         count_solutions(trunk, e) for e in range(31)]
+
+
+@settings(deterministic, max_examples=150)
+@given(case=pure_powers(), max_level=st.integers(1, 4))
+@example(case=(parse("(X^2-17)^2"), 13), max_level=1)
+@example(case=(parse("(X^2-2)^3"), 7), max_level=1)
+def test_pure_powers_match_brute_force(case, max_level):
+    P, p = case
+    trunk = check_trunk(build_trunk(P, p, max_level))
+    e = 1
+    while p**e <= MAX_MODULUS:
+        _check_level(P, p, _sufficient_trunk(P, p, trunk, e), e)
+        e += 1
+
+
+@settings(deterministic, max_examples=150)
+@given(p=st.sampled_from([3, 5, 7, 13]),
+       a=st.integers(-30, 30).filter(lambda a: a < 0 or isqrt(a) ** 2 != a),
+       m=st.integers(2, 4), bs=st.sets(small, min_size=1, max_size=4),
+       max_level=st.integers(1, 4))
+@example(p=13, a=17, m=2, bs={3}, max_level=3)
+@example(p=13, a=17, m=2, bs={3, 5}, max_level=3)
+def test_a_power_times_simple_factors_is_never_power_certified(p, a, m, bs, max_level):
+    # (X^2 - a)**m * prod (X - b) is no pure power, as X - b has multiplicity
+    # 1, yet at a simple root of X^2 - a mod p its level-1 vertex has t = s = m
+    P = Polynomial([-a, 0, 1]) ** m
+    for b in bs:
+        P = P * Polynomial([-b, 1])
+    trunk = check_trunk(build_trunk(P, p, max_level))
+    assume(any(n.t == n.s == m for n in trunk.root.children))
+    assert STATUS_POWER not in {n.status for n in trunk.iter_nodes()}
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +439,7 @@ def _div_exact(num, f):
 
 
 @settings(deterministic, max_examples=150)
-@given(case=st.one_of(trunk_inputs(), linear_powers()), max_level=st.integers(1, 6))
+@given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 6))
 def test_certified_series_is_reduced_with_one_factor_per_tail_thickness(case, max_level):
     P, p = case
     trunk = build_trunk(P, p, max_level)

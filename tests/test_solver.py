@@ -82,19 +82,19 @@ def test_is_solution_matches_evaluation_on_deep_tails(monkeypatch, text, p, e):
 
 
 def test_is_solution_requires_depth(checked_build):
-    trunk = checked_build("(X^2-17)^2", 13, 2)
+    trunk = checked_build("(X^2-17)^2*(X-3)", 13, 2)
     assert is_solution(trunk, 2, 2)
     assert is_solution(trunk, 132, 4)
     assert not is_solution(trunk, 2, 4)
     with pytest.raises(InsufficientDepthError, match="insufficient depth"):
         is_solution(trunk, 132, 5)
     # a deeper build answers the same query
-    deeper = checked_build("(X^2-17)^2", 13, 4)
-    assert is_solution(deeper, 132, 5) == (parse("(X^2-17)^2").evaluate(132, 13**5) == 0)
+    deeper = checked_build("(X^2-17)^2*(X-3)", 13, 4)
+    assert is_solution(deeper, 132, 5) == (parse("(X^2-17)^2*(X-3)").evaluate(132, 13**5) == 0)
 
 
 def test_insufficient_depth_names_a_sufficient_max_level():
-    P = parse("(X^2-17)^2")
+    P = parse("(X^2-17)^2*(X-3)")
     with pytest.raises(InsufficientDepthError, match="^insufficient depth") as info:
         count_solutions(build_trunk(P, 13, 3), 10)
     level = int(re.search(r"max_level >= (\d+)", str(info.value)).group(1))

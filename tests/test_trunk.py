@@ -186,8 +186,10 @@ def test_trunk_power(checked_build):
     [node] = trunk.iter_nodes()
     assert (node.r, node.k, node.t, node.phi, node.status) == (1, 1, 2, 2, STATUS_POWER)
     assert (node.tail, node.hensel_root) == (4 * X + 1, 2)
-    # only a linear power of degree >= 2 with a root mod p
-    for text, p in [("X", 3), ("(X-1)^2*(X-2)", 3), ("(3X-1)^2", 3), ("X^2+3", 3)]:
+    # only a power c*S^m, m >= 2, at a simple root of S mod p: not at the
+    # double root of X^2-1 mod 2, nor beside a factor of another multiplicity
+    for text, p in [("X", 3), ("(X-1)^2*(X-2)", 3), ("(3X-1)^2", 3), ("X^2+3", 3),
+                    ("(X^2-1)^2", 2), ("(X^2-17)^2*(X-3)*(X-5)", 13)]:
         assert STATUS_POWER not in {n.status for n in build_trunk(parse(text), p, 4).iter_nodes()}
 
 
@@ -202,7 +204,7 @@ def test_trunk_split_branches(checked_build):
 
 
 def test_trunk_undetermined(checked_build):
-    trunk = checked_build("(X^2-17)^2", 13, 3)
+    trunk = checked_build("(X^2-17)^2*(X-3)", 13, 3)
     open_nodes = trunk.undetermined_nodes()
     assert len(open_nodes) == 2
     assert all(n.k == 3 and n.t == 2 for n in open_nodes)
@@ -268,7 +270,7 @@ def test_power_certified_branches_follow_the_lifted_tail(fixture_trunks):
                 assert roots == [y // p**level % p], "one root: the tail's digit"
                 t, Q = thickness(Q, roots[0], p)
                 assert t == node.t
-    assert powers == 2
+    assert powers == 4
 
 
 def test_random_trunks_pass_invariants():
@@ -314,7 +316,9 @@ def test_children_agree_with_thickness_and_residual_degree_of_their_parent():
 # vertex count per status, both taken from the root down.  Recorded with
 # the earlier ancestor-scan builder and per-coefficient p_content; the
 # two linear powers X^2 and (4*X-1)^2 again when their level-1 vertex
-# became power-certified.
+# became power-certified, and (X^2-17)^2 again when powers c*S^m were
+# certified at the simple roots of S; its open branches moved to
+# (X^2-17)^2*(X-3), which adds one Hensel vertex at the root 3.
 GOLDEN_TRUNKS = {
     ("(X^2+3)*(X^2+3*X+9)", 3, 5): (
         "2bab217eab5a6c56b754bd8e9e9119c198a1827eed95a96f12e82e80bad767d9",
@@ -341,8 +345,11 @@ GOLDEN_TRUNKS = {
         "98159fdd387ded94b023773f5c4fd188096464fbad4acba814e5f9991675094e",
         {"expanded": 1, "hensel-certified": 2}),
     ("(X^2-17)^2", 13, 3): (
-        "a25db5de6b46b51fb368525a25e7754a760d5269b5b8ec276db83e7d57c1f9ea",
-        {"expanded": 5, "undetermined": 2}),
+        "2081ec28b2c8741a210414c09d4cc0a2c5b7fbef64d2cecdbe7af6200ccc477d",
+        {"expanded": 1, "power-certified": 2}),
+    ("(X^2-17)^2*(X-3)", 13, 3): (
+        "df7f92b7d7f2c1ef1436656d9f6144d82fec3e5567e0ec5e18d733c238a50fe0",
+        {"expanded": 5, "hensel-certified": 1, "undetermined": 2}),
     ("9*X^2+9", 3, 3): (
         "2a59f05158a2a1de73defe410ee59f097666d962327849ca839c470b2fa0d367",
         {"leaf": 1}),
@@ -353,8 +360,11 @@ GOLDEN_TRUNKS = {
         "9c362a1747fef9df21e33e5f55c84841dc53164ad95ff32514ff108f532c5417",
         {"leaf": 1}),
     ("(X^2-17)^2", 13, 60): (
-        "73ba87ecf7546699eff4961e3e4657817130002cdd72076ffdb4771e5d4c4c57",
-        {"expanded": 119, "undetermined": 2}),
+        "2081ec28b2c8741a210414c09d4cc0a2c5b7fbef64d2cecdbe7af6200ccc477d",
+        {"expanded": 1, "power-certified": 2}),
+    ("(X^2-17)^2*(X-3)", 13, 60): (
+        "8d0d4ef304f00c2f81b6ca04a60008b7f92ca0869289cbe304e84187835b45ea",
+        {"expanded": 119, "hensel-certified": 1, "undetermined": 2}),
     ("X^4*(X-1)^3*(X+1)^2", 2, 40): (
         "3e4fc3fd67283af355e31754bc17a88cbca21b3f187568a2539cb397987c1040",
         {"expanded": 117, "undetermined": 3}),
