@@ -2,14 +2,14 @@
 
 The counts N_e assemble into the series S(u) = sum N_e * (u/p)**e with
 N_0 = 1.  In the variable w = u/p every coefficient is the integer N_e,
-so the series is built with integer polynomial algebra in w: each
-vertex contributes its level window (the root's is e <= t0), and each
-certified infinite branch a geometric tail over 1 - p**(t-1) * w**t,
-which is (1 - u**t / p) for its constant continuation thickness t.  When
-every trunk branch is finished or certified infinite, that rational
-function is S(u) exactly, with one denominator factor per distinct tail
-thickness and already in lowest terms (the rational form of Denef,
-Invent. Math. 77, 1984).
+so the series is built with integer polynomial algebra in w.  Each
+certified infinite branch of constant continuation thickness t repeats
+its counts over 1 - p**(t-1) * w**t, which is (1 - u**t / p).  When every
+trunk branch is finished or certified infinite, S times the product D of
+these factors over the distinct thicknesses is a polynomial (the rational
+form of Denef, Invent. Math. 77, 1984): the counts times D, cut at its
+degree.  That fraction is S(u) exactly and already in lowest terms.  An
+open trunk gives the counts up to its built depth only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .polynomial import Polynomial, val_p
 from .primes import is_prime
-from .solver import InsufficientDepthError
+from .solver import InsufficientDepthError, _level_counts
 from .trunk import (
     CERTIFIED,
     STATUS_HENSEL,
@@ -60,15 +60,13 @@ class RationalSeries:
     """S(u) as numerator/denominator with exact rational coefficients.
 
     certified means the source trunk had no undetermined branch, so the
-    closed form is exact; otherwise only `truncation` holds meaningful
-    data (the partial coefficients N_e / p**e) and numerator/denominator
-    merely encode that truncated polynomial.
+    closed form is exact; otherwise the numerator is the list of known
+    coefficients N_e / p**e and the denominator is 1.
     """
 
     numerator: tuple[Fraction, ...]
     denominator: tuple[Fraction, ...]
     certified: bool
-    truncation: tuple[Fraction, ...] | None = None
     #: (t, 1) for the factor 1 - u**t / p of each distinct certified-tail
     #: thickness t; the denominator is their product, in lowest terms
     denominator_factors: tuple[tuple[int, int], ...] = ()
@@ -77,78 +75,51 @@ class RationalSeries:
         """Series coefficients for u**0 .. u**horizon; entry e is N_e / p**e."""
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
-        if not self.certified:
-            if self.truncation is None or horizon >= len(self.truncation):
-                raise ValueError(
-                    "series is only known up to its truncation;"
-                    " rebuild the trunk deeper for more coefficients")
-            return list(self.truncation[:horizon + 1])
+        if not self.certified and horizon >= len(self.numerator):
+            raise ValueError("series is only known up to its truncation;"
+                             " rebuild the trunk deeper for more coefficients")
         return [Fraction(c) for c in
                 _series_quotient(self.numerator, self.denominator, horizon)]
 
 
 def poincare_series(trunk: Trunk) -> RationalSeries:
-    """S(u) from one pass over the trunk, in integer algebra in w = u/p.
+    """S(u) as the trunk's level counts times its denominator, in w = u/p.
 
-    At level e a vertex accounts for the p**(e-j) solutions of one ball
-    modulo p**j (the solver's rule).  The root's window is e <= t0, where
-    P = p**t0 * P0 solves all p**e residues; every other vertex sits t0
-    levels down, at the levels of P: j = k on its window
-    phi-t < e-t0 <= phi, and on a certified tail one level deeper for each
-    further t levels.  Each period of a tail is the one before times
-    p**(t-1) * w**t, so the tail is its first period over
-    1 - p**(t-1) * w**t.  The terms are summed into one integer list per
-    denominator and combined over the product of the denominators, which
-    is already in lowest terms.
+    Past the deepest vertex level t0 + max phi, every count comes from
+    certified tails.  Each period of a tail of thickness t is the one
+    before times p**(t-1) * w**t, so multiplying by that tail's factor
+    1 - p**(t-1) * w**t cancels all but its first period.  Hence S * D,
+    for D the product of the factors of the distinct thicknesses, is a
+    polynomial of degree at most t0 + max phi + deg D, read off the counts
+    up to that level.
 
-    When the trunk has undetermined branches the result is a truncated
-    coefficient list (never an error): the same rational function
-    expanded to the built depth, which every open branch is guaranteed
-    to cover.  Its windows are clipped at the built depth, since terms
-    past it only reach coefficients past the truncation.
+    When the trunk has undetermined branches the result is its counts up
+    to the built depth (never an error), which every open branch covers.
     """
-    p, t0 = trunk.p, trunk.t0
-    certified = trunk.fully_resolved
-    # sums[0] = the root's and every vertex's window; sums[t] = the tails of thickness t
-    sums: dict[int, list[int]] = {0: [p**e for e in range(t0 + 1)]}
-    powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
-    for node in trunk.iter_nodes():
-        k, t, phi = node.k, node.t, node.phi + t0
-        last = phi + t if node.status in CERTIFIED else phi
-        if not certified:
-            last = min(last, t0 + trunk.built_depth)
-        while len(powers) <= last - k:
-            powers.append(powers[-1] * p)
-        for e in range(phi - t + 1, last + 1):
-            coeffs = sums.setdefault(t if e > phi else 0, [])
-            coeffs.extend([0] * (e + 1 - len(coeffs)))
-            # p**(e - j) for the ball level j = k + ceil((e - phi) / t)
-            coeffs[e] += powers[e - k + (phi - e) // t]
-
+    p = trunk.p
+    if not trunk.fully_resolved:
+        counts = _level_counts(trunk, trunk.t0 + trunk.built_depth)
+        return RationalSeries(numerator=_to_u(counts, p), denominator=(Fraction(1),),
+                              certified=False)
     # No factor divides the numerator, so the fraction is reduced:
-    #  * the tails of thickness t sum to sums[t] / factor_t, whose
+    #  * the tails of thickness t sum to a first period over factor_t, whose
     #    coefficients are positive at every level past their phi, so it is
-    #    not a polynomial and factor_t does not divide sums[t];
+    #    not a polynomial and factor_t does not divide that period;
     #  * p - u**t is Eisenstein at p, so the factors are irreducible and
-    #    pairwise coprime, and factor_t divides no other term's product;
+    #    pairwise coprime, and factor_t divides every other term of S * D;
     #  * w**t0, the shift of P0's levels to P's, is coprime to every factor.
-    factors = {t: Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
-               for t in sorted(sums) if t}
-    numerator, denominator = Polynomial(sums[0]), Polynomial([1])
-    for t, factor in factors.items():
-        # numerator / denominator + sums[t] / factor, over the product
-        numerator = numerator * factor + Polynomial(sums[t]) * denominator
-        denominator = denominator * factor
-
-    if not certified:
-        coeffs = _to_u(_series_quotient(numerator.coeffs, denominator.coeffs,
-                                        t0 + trunk.built_depth), p)
-        return RationalSeries(numerator=coeffs, denominator=(Fraction(1),),
-                              certified=False, truncation=coeffs)
+    nodes = list(trunk.iter_nodes())
+    thicknesses = sorted({node.t for node in nodes if node.status in CERTIFIED})
+    denominator = Polynomial([1])
+    for t in thicknesses:
+        denominator = denominator * Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
+    last = trunk.t0 + max((node.phi for node in nodes), default=0) + denominator.degree
+    # S * D agrees with the counts times D up to w**last and has no term past it
+    numerator = Polynomial((Polynomial(_level_counts(trunk, last)) * denominator).coeffs[:last + 1])
     return RationalSeries(numerator=_to_u(numerator.coeffs, p),
                           denominator=_to_u(denominator.coeffs, p),
                           certified=True,
-                          denominator_factors=tuple((t, 1) for t in factors))
+                          denominator_factors=tuple((t, 1) for t in thicknesses))
 
 
 # ----------------------------------------------------------------------

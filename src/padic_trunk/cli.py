@@ -314,7 +314,7 @@ def _cmd_poincare(args: argparse.Namespace) -> list[str]:
         horizon = args.horizon if args.horizon is not None \
             else max(10, trunk.built_depth)
     else:
-        available = len(series.truncation) - 1
+        available = len(series.numerator) - 1
         horizon = available if args.horizon is None \
             else min(args.horizon, available)
     coeffs = series.expand(horizon)

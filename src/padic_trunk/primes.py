@@ -70,6 +70,25 @@ def _pollard_rho(n: int, budget: int) -> int | None:
     return None
 
 
+def _strip(m: int, q: int) -> tuple[int, int]:
+    """(m / q**v, v) for v = v_q(m).
+
+    Divides by q, q**2, q**4, ... while that divides, then by the same
+    powers back down: O(log v) divisions for v = v_q(m), not v of them.
+    """
+    powers, v = [q], 0
+    quotient, rest = divmod(m, q)
+    while not rest:
+        m, v = quotient, v + (1 << (len(powers) - 1))
+        powers.append(powers[-1] * powers[-1])
+        quotient, rest = divmod(m, powers[-1])
+    for i in reversed(range(len(powers) - 1)):
+        quotient, rest = divmod(m, powers[i])
+        if not rest:
+            m, v = quotient, v + (1 << i)
+    return m, v
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as a sorted list of (prime, exponent) pairs.
 
@@ -81,15 +100,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
     factors: dict[int, int] = {}
     m = n
     for q in (2, 3):
-        while m % q == 0:
-            factors[q] = factors.get(q, 0) + 1
-            m //= q
+        if m % q == 0:
+            m, factors[q] = _strip(m, q)
     d = 5
     while d <= _TRIAL_BOUND and d * d <= m:
         for q in (d, d + 2):
-            while m % q == 0:
-                factors[q] = factors.get(q, 0) + 1
-                m //= q
+            if m % q == 0:
+                m, factors[q] = _strip(m, q)
         d += 6
     if m > 1:
         stack = [m]

@@ -8,7 +8,8 @@ on past phi with one vertex per level and thickness t per level, so at
 level e it contributes one class modulo p**(k + ceil((e - phi) / t)).
 These are levels of P's content-free part; the root's window is the
 levels up to P's content exponent, where every x solves.  Every query reads its answer off one
-pass over these windows: counting sums the ball sizes, ball listings
+pass over these windows: counting sums the ball sizes, at one level or at
+every level up to a bound for the Poincaré series, ball listings
 lift the simple root of a certified vertex's tail, and membership
 evaluates that tail once.  Composite moduli are handled by factoring and
 recombining with the Chinese remainder theorem.
@@ -117,6 +118,27 @@ def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
             f" only covers levels up to {short.phi + trunk.t0}; rebuild the"
             f" trunk with max_level >= {trunk.built_depth + e1 - short.phi}")
     return windows
+
+
+def _level_counts(trunk: Trunk, last: int) -> list[int]:
+    """[N_0, ..., N_last] from one pass over the vertices, by the rule of _windows.
+
+    Each vertex adds p**(e - j) at every level e of its window, j the level
+    of its ball, and a certified tail goes on up to last.  Every open branch
+    must reach last; at t0 + built_depth it always does.
+    """
+    p, t0 = trunk.p, trunk.t0
+    counts = [p**e for e in range(min(t0, last) + 1)] + [0] * (last - t0)
+    powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
+    for node in trunk.iter_nodes():
+        k, t, phi = node.k, node.t, node.phi + t0
+        end = last if node.status in CERTIFIED else min(phi, last)
+        while len(powers) <= end - k:
+            powers.append(powers[-1] * p)
+        for e in range(phi - t + 1, end + 1):
+            # j = k + ceil((e - phi) / t), which is k inside the window
+            counts[e] += powers[e - k + (phi - e) // t]
+    return counts
 
 
 def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:

@@ -8,6 +8,13 @@ certificates or roots mod p.  A level costs p * N_j evaluations, so the
 oracle goes deep wherever the solution set stays small, far past the
 p**e <= 5000 that brute force over [0, p**e) reaches.
 
+A pure power P = p**t0 * u * S**m, u a p-adic unit, has too many
+solutions to list past a few levels, but P(x) = 0 (mod p**e) exactly when
+S(x) = 0 (mod p**f), f = ceil((e - t0) / m), so N_e = p**(e - f) * N_f(S)
+(p**e for e <= t0).  Past the listing budget the oracle compares the
+trunk's counts with that, taking N_f(S) from its lifting of S, whose
+levels stay small.
+
 The property test in test_properties.py runs check_case on a few dozen
 inputs.  A larger seeded run is a script:
 
@@ -58,10 +65,11 @@ def lifted_levels(P: Polynomial, p: int, max_e: int):
         pj = m
 
 
-def random_case(rng: random.Random) -> tuple[Polynomial, int]:
-    """(P, p): content 1, p or p**2 times up to three powers of linear factors,
-    or, one time in three, times c*S**m for m in {2, 3} and S a product of one
-    or two monic quadratics or cubics irreducible over Q.
+def random_case(rng: random.Random) -> tuple[Polynomial, int, tuple | None]:
+    """(P, p, power): content 1, p or p**2 times up to three powers of linear
+    factors, or, one time in three, times c*S**m for m in {2, 3} and S a
+    product of one or two monic quadratics or cubics irreducible over Q.
+    power is (c, S, m) with P = c * S**m for the latter, None otherwise.
 
     Leading coefficients run up to p, so some factors have no root mod p,
     and a factor's root often agrees with the previous one to a few digits.
@@ -73,13 +81,14 @@ def random_case(rng: random.Random) -> tuple[Polynomial, int]:
         S = Polynomial([1])
         for _ in range(rng.randint(1, 2)):
             S = S * irreducible_factor(rng, p, rng.randint(2, 3))
-        return P * rng.choice([1, -1, 2, 3]) * S ** rng.randint(2, 3), p
+        c, m = P.coefficient(0) * rng.choice([1, -1, 2, 3]), rng.randint(2, 3)
+        return c * S**m, p, (c, S, m)
     b = rng.randint(-p * p, p * p)
     for _ in range(rng.randint(1, 3)):
         a = rng.randint(1, p)
         b = b + p ** rng.randint(1, 4) if rng.random() < 0.5 else rng.randint(-p * p, p * p)
         P = P * Polynomial([-b, a]) ** rng.randint(1, 3)
-    return P, p
+    return P, p, None
 
 
 def irreducible_factor(rng: random.Random, p: int, degree: int) -> Polynomial:
@@ -99,13 +108,16 @@ def irreducible_factor(rng: random.Random, p: int, degree: int) -> Polynomial:
             return Polynomial(cs)
 
 
-def check_case(P: Polynomial, p: int, rng: random.Random) -> tuple[int, int]:
+def check_case(P: Polynomial, p: int, rng: random.Random,
+               power: tuple | None = None) -> tuple[int, int, int]:
     """Compare a trunk of P built to BUILT_DEPTH with the oracle, level by level.
 
     At each level: the count, the sorted listing, and for each ball its r,
     a random member and the neighbour r + p**(k-1) outside it, each both in
-    the oracle's set as expected and by is_solution.  Returns the number of
-    levels compared and how many of them are past brute force's reach.
+    the oracle's set as expected and by is_solution.  For P = c * S**m, given
+    as power = (c, S, m), the levels past the listing budget go on through
+    check_power_levels.  Returns the number of levels compared, how many of
+    them are past brute force's reach, and how many went through S.
     """
     trunk = build_trunk(P, p, BUILT_DEPTH)
     levels = deep = 0
@@ -116,7 +128,7 @@ def check_case(P: Polynomial, p: int, rng: random.Random) -> tuple[int, int]:
         except InsufficientDepthError:
             # only a branch left open at the built depth may stop the trunk
             assert e > BUILT_DEPTH + trunk.t0, (P, p, e)
-            break
+            return levels, deep, 0
         assert count == len(expected), (P, p, e)
         assert enumerate_solutions(trunk, e) == expected, (P, p, e)
         solutions = set(expected)
@@ -129,7 +141,42 @@ def check_case(P: Polynomial, p: int, rng: random.Random) -> tuple[int, int]:
                 assert is_solution(trunk, x, e) == (x in solutions), (P, p, e, x)
         levels += 1
         deep += m > BRUTE_FORCE_MODULUS
-    return levels, deep
+    if power is None or e == MAX_E:
+        return levels, deep, 0
+    return levels, deep, check_power_levels(trunk, *power, e + 1)
+
+
+def check_power_levels(trunk, c: int, S: Polynomial, m: int, start: int) -> int:
+    """Compare the trunk of P = c * S**m, S monic, with S's lifted levels at
+    e = start .. MAX_E: the count p**(e - f) * N_f(S), and is_solution on one
+    lifted root x of S mod p**f and on its neighbour x + p**(f-1).  Returns
+    the number of levels compared; stops where the trunk or S's lifting does.
+    """
+    p, t0 = trunk.p, 0
+    while c % p**(t0 + 1) == 0:
+        t0 += 1
+    f_last = max(0, -(-(MAX_E - t0) // m))
+    roots_of_S = [level for _, level in lifted_levels(S, p, f_last)]
+    levels = 0
+    for e in range(start, MAX_E + 1):
+        f = max(0, -(-(e - t0) // m))
+        if f >= len(roots_of_S):
+            break
+        try:
+            count = count_solutions(trunk, e)
+        except InsufficientDepthError:
+            assert e > BUILT_DEPTH + t0, (c, S, m, p, e)
+            break
+        roots = roots_of_S[f]
+        assert count == p**(e - f) * len(roots), (c, S, m, p, e)
+        if roots:
+            x = roots[e % len(roots)]
+            assert is_solution(trunk, x, e), (c, S, m, p, e, x)
+            if f:
+                y = x + p**(f - 1)
+                assert is_solution(trunk, y, e) == (y % p**f in set(roots)), (c, S, m, p, e, y)
+        levels += 1
+    return levels
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -140,14 +187,19 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    levels = deep = 0
+    levels = deep = powers = 0
     for _ in range(args.cases):
-        P, p = random_case(rng)
-        checked, past = check_case(P, p, rng)
-        levels += checked
+        P, p, power = random_case(rng)
+        checked, past, through_S = check_case(P, p, rng, power)
+        levels += checked + through_S
         deep += past
+        powers += through_S
     print(f"{args.cases} cases: {levels} levels agree, {deep} of them past"
-          f" p**e = {BRUTE_FORCE_MODULUS}, in {time.perf_counter() - start:.1f} s")
+          f" p**e = {BRUTE_FORCE_MODULUS} and {powers} pure-power levels past the"
+          f" listing budget, in {time.perf_counter() - start:.1f} s")
+    if args.cases >= 100 and not powers:
+        # a run this size always draws pure powers too large to list
+        raise SystemExit("no pure-power level was checked past the listing budget")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,10 @@ with four different moduli, 45, 1125, 1215 and 30375.  When powers c*S^m
 were certified at the simple roots of S, the open cases moved from
 `(X^2-17)^2`, now two power-certified vertices, to `(X^2-17)^2*(X-3)`
 and were recorded again; the three `*-square` cases pin the new trunk.
+Two cases were added before the series became the level counts times
+its denominator: `poincare-certified-long-numerator-json`, whose
+numerator reaches u^44 past the built depth, and `poincare-open-content`,
+an open trunk with content and a Hensel tail.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -119,6 +123,11 @@ COMMANDS = {
                                     "--format", "json"],
     "poincare-open-hensel": ["poincare", "--poly", "(X^2-17)^2*(X-3)", "--prime", "13",
                              "--max-level", "6", "--horizon", "4"],
+    "poincare-certified-long-numerator-json": [
+        "poincare", "--poly", "27*(X-1)*(X-1-3^20)", "--prime", "3", "--max-level", "40",
+        "--format", "json"],
+    "poincare-open-content": ["poincare", "--poly", "169*(X^2-17)^2*(X-3)", "--prime", "13",
+                              "--max-level", "4", "--horizon", "5"],
     "error-not-prime": ["solve", "--poly", "X^2+1", "--prime", "4", "--exp", "2"],
     "error-with-fans": ["trunk", "--poly", "X", "--prime", "3", "--max-level", "2",
                         "--with-fans", "2"],

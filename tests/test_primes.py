@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,15 @@ def test_factorize_trial_division():
     assert factorize(2310) == [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1)]
     with pytest.raises(ValueError):
         factorize(1)
+
+
+def test_factorize_strips_a_large_exponent_by_valuation():
+    # one division per unit of exponent took about 10 s for each
+    for n, expected in ((2**200000, [(2, 200000)]), (3 * 7**100000, [(3, 1), (7, 100000)])):
+        start = time.perf_counter()
+        assert factorize(n) == expected
+        assert time.perf_counter() - start < 2
+    assert factorize(2**5 * 3**7 * 1009**33) == [(2, 5), (3, 7), (1009, 33)]
 
 
 def test_factorize_rho_fallback():

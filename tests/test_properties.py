@@ -33,7 +33,7 @@ from padic_trunk.cli import _all_digits, _write
 from padic_trunk.polynomial import (
     ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
 from padic_trunk.primes import is_prime
-from padic_trunk.solver import _BLOCK, _ball, _class_blocks
+from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _level_counts
 from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
 from invariants import check_trunk
@@ -264,7 +264,7 @@ def test_poincare_coefficients_match_counts(case, max_level):
     trunk = build_trunk(P, p, max_level)
     series = poincare_series(trunk)
     horizon = (3 * max_level + trunk.t0 if series.certified
-               else len(series.truncation) - 1)
+               else len(series.numerator) - 1)
     for e, coeff in enumerate(series.expand(horizon)):
         assert coeff * p**e == count_solutions(trunk, e)
 
@@ -277,9 +277,20 @@ def test_truncated_series_matches_counts_level_by_level(case, max_level):
     assume(not trunk.fully_resolved)
     series = poincare_series(trunk)
     assert not series.certified
-    assert series.truncation == tuple(
+    assert series.numerator == tuple(
         Fraction(count_solutions(trunk, e), p**e)
         for e in range(trunk.t0 + max_level + 1))
+
+
+@settings(deterministic, max_examples=150)
+@given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 8),
+       extra=st.integers(0, 12))
+def test_level_counts_are_the_counts_level_by_level(case, max_level, extra):
+    P, p = case
+    trunk = build_trunk(P, p, max_level)
+    # an open trunk is known up to its built depth, a certified one at every level
+    last = trunk.t0 + max_level + (extra if trunk.fully_resolved else -min(extra, max_level))
+    assert _level_counts(trunk, last) == [count_solutions(trunk, e) for e in range(last + 1)]
 
 
 def _roots_of_powers(P):
@@ -462,8 +473,8 @@ def test_certified_series_is_reduced_with_one_factor_per_tail_thickness(case, ma
 @settings(deterministic, max_examples=60)
 @given(rng=st.randoms(use_true_random=False))
 def test_trunk_answers_match_the_lifting_oracle_at_depth(rng):
-    P, p = random_case(rng)
-    check_case(P, p, rng)
+    P, p, power = random_case(rng)
+    check_case(P, p, rng, power)
 
 
 # ----------------------------------------------------------------------
