@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import Polynomial, val_p
-from .primes import is_prime
+from .polynomial import Polynomial
+from .primes import _strip, is_prime
 from .solver import InsufficientDepthError, _level_counts
 from .trunk import (
     CERTIFIED,
@@ -158,11 +158,10 @@ def classify_quadratic(P: Polynomial, p: int) -> QuadraticClass:
     disc = b * b - 4 * a * c
     if disc == 0:
         return QuadraticClass(KINF, None)
-    v = val_p(disc, p)
+    unit, v = _strip(disc, p)
     stem = v // 2
     if v % 2 == 1:
         return QuadraticClass(K1, stem)
-    unit = (disc // p**v) % p
     if pow(unit, (p - 1) // 2, p) == 1:
         return QuadraticClass(K2, stem)
     return QuadraticClass(K0, stem)

@@ -244,8 +244,8 @@ def _solve_prime_power(args: argparse.Namespace) -> list[str]:
     p, e = args.prime, args.exp
     # levels past phi >= e never reach the answer at e
     trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
-    count = count_solutions(trunk, e)
     decomposition = None if args.count_only and not args.balls else ball_decomposition(trunk, e)
+    count = count_solutions(trunk, e) if decomposition is None else decomposition.count
     blocks = None if args.count_only or args.balls else _listing([decomposition])
     if args.format == "text":
         lines = [f"modulus: {p}^{e}", f"count: {count}"]

@@ -14,21 +14,28 @@ import random
 from itertools import zip_longest
 from typing import Iterable
 
+from .primes import _strip
+
 
 def val_p(x: int, p: int) -> int | float:
     """p-adic valuation of x: the largest i such that p**i divides x.
 
     Returns math.inf for x = 0, since every power of p divides zero.
+    O(log v) divisions for v = val_p(x): primes._strip, as in factorize.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    if x == 0:
-        return math.inf
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return math.inf if x == 0 else _strip(x, p)[1]
+
+
+def _taylor_shift(coeffs: tuple[int, ...], r: int) -> list[int]:
+    """The coefficients of P(r + X) from P's, by repeated synthetic division
+    (no binomials or factorials); shift_scale and trunk.thickness share it."""
+    a, n = list(coeffs), len(coeffs)
+    for i in range(n - 1 if r else 0):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += r * a[j + 1]
+    return a
 
 
 class Polynomial:
@@ -166,21 +173,16 @@ class Polynomial:
     def shift_scale(self, r: int, p: int) -> "Polynomial":
         """The substituted polynomial P(r + p*X), computed exactly.
 
-        A Taylor shift by r in place (repeated synthetic division, never
-        forming binomials or factorials), then coefficient i times p**i.
+        _taylor_shift by r, then coefficient i times p**i.
         The scale may be any positive integer (callers also pass p**k).
         """
         if self.is_zero:
             raise ValueError("shift_scale requires a nonzero polynomial")
         if p < 1:
             raise ValueError("scale must be positive")
-        a = list(self.coeffs)
-        n = len(a)
-        for i in range(n - 1 if r else 0):
-            for j in range(n - 2, i - 1, -1):
-                a[j] += r * a[j + 1]
+        a = _taylor_shift(self.coeffs, r)
         scale = 1
-        for j in range(1, n):
+        for j in range(1, len(a)):
             scale *= p
             a[j] *= scale
         return Polynomial._of(a)

@@ -1,18 +1,18 @@
 """Answer membership, counting and enumeration questions from a trunk.
 
 A trunk vertex (r, k) with thickness t and cumulative thickness phi
-accounts for the solutions of exactly the levels e with
-phi - t < e <= phi, where it contributes the full residue class
-r mod p**k, i.e. p**(e-k) solutions.  A certified infinite branch goes
-on past phi with one vertex per level and thickness t per level, so at
-level e it contributes one class modulo p**(k + ceil((e - phi) / t)).
-These are levels of P's content-free part; the root's window is the
-levels up to P's content exponent, where every x solves.  Every query reads its answer off one
-pass over these windows: counting sums the ball sizes, at one level or at
-every level up to a bound for the Poincaré series, ball listings
-lift the simple root of a certified vertex's tail, and membership
-evaluates that tail once.  Composite moduli are handled by factoring and
-recombining with the Chinese remainder theorem.
+accounts for exactly the levels e with phi - t < e <= phi, where it
+contributes the full residue class r mod p**k, i.e. p**(e-k) solutions.
+A certified infinite branch goes on past phi, one vertex of thickness t
+per level: at level e its class is mod p**(k + ceil((e - phi) / t)), so
+t levels on its count is p**(t-1) times as large.  These are levels of
+P's content-free part; the root's window is the levels up to P's content
+exponent, where every x solves.  Every query reads its answer off one pass
+over these windows: counting sums the ball sizes, at one level or, each
+tail extended by that recurrence, at every level up to a bound for the
+Poincaré series; ball listings lift the simple root of a certified
+vertex's tail, and membership evaluates that tail once.  Composite moduli
+are factored and recombined by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
@@ -121,23 +121,25 @@ def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
 
 
 def _level_counts(trunk: Trunk, last: int) -> list[int]:
-    """[N_0, ..., N_last] from one pass over the vertices, by the rule of _windows.
-
-    Each vertex adds p**(e - j) at every level e of its window, j the level
-    of its ball, and a certified tail goes on up to last.  Every open branch
+    """[N_0, ..., N_last]: each vertex's own window, by the rule of _windows,
+    then each certified tail of thickness t by the recurrence of its period.
+    The certified windows of each t share one run, extended up to last, so
+    this takes O(vertices * t + thicknesses * last) steps.  Every open branch
     must reach last; at t0 + built_depth it always does.
     """
     p, t0 = trunk.p, trunk.t0
     counts = [p**e for e in range(min(t0, last) + 1)] + [0] * (last - t0)
-    powers = [1]  # powers[i] = p**i, grown as deeper vertices need them
+    runs: dict[int, list[int]] = {}  # t -> the certified windows of thickness t
     for node in trunk.iter_nodes():
-        k, t, phi = node.k, node.t, node.phi + t0
-        end = last if node.status in CERTIFIED else min(phi, last)
-        while len(powers) <= end - k:
-            powers.append(powers[-1] * p)
-        for e in range(phi - t + 1, end + 1):
-            # j = k + ceil((e - phi) / t), which is k inside the window
-            counts[e] += powers[e - k + (phi - e) // t]
+        t, phi = node.t, node.phi + t0
+        run = counts if node.status not in CERTIFIED else (
+            runs.get(t) or runs.setdefault(t, [0] * (last + 1)))
+        for e in range(phi - t + 1, min(phi, last) + 1):
+            run[e] += p ** (e - node.k)
+    for t, run in runs.items():
+        for e in range(t, last + 1):
+            run[e] += p ** (t - 1) * run[e - t]
+        counts = [n + m for n, m in zip(counts, run)]
     return counts
 
 

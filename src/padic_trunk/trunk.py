@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .polynomial import Polynomial, reduced_roots
+from .polynomial import Polynomial, _taylor_shift, reduced_roots
 from .primes import is_prime
 
 STATUS_EXPANDED = "expanded"
@@ -50,11 +50,8 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
     """
     if P.is_zero or not _unit_content(P, p):
         raise ValueError("unnormalized input: p divides P")
-    a, n = list(P.coeffs), len(P.coeffs)
-    for i in range(n - 1 if r else 0):
-        for j in range(n - 2, i - 1, -1):
-            a[j] += r * a[j + 1]
-    t = n
+    a = _taylor_shift(P.coeffs, r)
+    t = len(a)
     for j, c in enumerate(a):
         if j < t and (rem := c % p ** (t - j)):  # v_p(a_j) < t - j
             t = j
@@ -151,7 +148,7 @@ class Trunk:
     @property
     def d_p(self) -> int:
         """Degree of P0 reduced modulo p; bounds the width of every level."""
-        return self.P0.reduce_mod(self.p).degree
+        return self.root.s
 
     @property
     def d_trunk(self) -> int:

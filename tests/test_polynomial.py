@@ -1,9 +1,13 @@
 import math
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from padic_trunk import Polynomial, X, parse, poly_to_str, val_p
+from padic_trunk import (
+    Polynomial, QuadraticClass, X, build_trunk, classify_quadratic, parse, poly_to_str, val_p)
 
 
 EX1 = parse("(X^2+3)*(X^2+3*X+9)")
@@ -82,6 +86,32 @@ def test_val_p():
     assert val_p(-18, 3) == 2
     with pytest.raises(ValueError):
         val_p(4, 1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(c=st.integers(-10**30, 10**30), q=st.integers(2, 60), v=st.integers(0, 300))
+def test_val_p_against_a_division_loop(c, q, v):
+    assume(c % q)
+    x, expected = c * q**v, 0
+    while x % q == 0:
+        x, expected = x // q, expected + 1
+    assert val_p(c * q**v, q) == expected == v
+    assert val_p(0, q) == math.inf
+    with pytest.raises(ValueError):
+        val_p(c * q**v, 1)
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda: val_p(3**200000 * 7, 3), 200000),
+    (lambda: build_trunk(parse("3^10000^20*X"), 3, 2).t0, 200000),
+    (lambda: classify_quadratic(parse("X^2+3^10000^20"), 3), QuadraticClass("K0", 100000)),
+], ids=["val_p", "content", "discriminant"])
+def test_large_valuations_take_few_divisions(run, expected):
+    # the content 3^200000, and a discriminant's valuation 200000: one
+    # division per unit of valuation took about 15 s for the build
+    start = time.perf_counter()
+    assert run() == expected
+    assert time.perf_counter() - start < 2
 
 
 def test_shift_scale_agrees_with_evaluation():
