@@ -18,6 +18,7 @@ are factored and recombined by the Chinese remainder theorem.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
@@ -129,11 +130,10 @@ def _level_counts(trunk: Trunk, last: int) -> list[int]:
     """
     p, t0 = trunk.p, trunk.t0
     counts = [p**e for e in range(min(t0, last) + 1)] + [0] * (last - t0)
-    runs: dict[int, list[int]] = {}  # t -> the certified windows of thickness t
+    runs = defaultdict(lambda: [0] * (last + 1))  # t -> the certified windows of thickness t
     for node in trunk.iter_nodes():
         t, phi = node.t, node.phi + t0
-        run = counts if node.status not in CERTIFIED else (
-            runs.get(t) or runs.setdefault(t, [0] * (last + 1)))
+        run = runs[t] if node.status in CERTIFIED else counts
         for e in range(phi - t + 1, min(phi, last) + 1):
             run[e] += p ** (e - node.k)
     for t, run in runs.items():

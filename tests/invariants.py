@@ -57,7 +57,8 @@ def check_trunk(trunk: Trunk) -> Trunk:
     p = trunk.p
     P0 = trunk.P0
     d = P0.degree
-    d_p = trunk.d_p
+    d_p = P0.reduce_mod(p).degree
+    assert trunk.d_p == d_p
     assert trunk.t0 >= 0
     assert any(c % p for c in P0.coeffs), "P0 must not be divisible by p"
 

@@ -285,6 +285,13 @@ def test_truncated_series_matches_counts_level_by_level(case, max_level):
 @settings(deterministic, max_examples=150)
 @given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 8),
        extra=st.integers(0, 12))
+# certified tails run on to level 70: twelve Hensel tails above the content
+# 13^40, two power tails of thickness 2, and Hensel tails below expanded
+# vertices of thickness 3 and 2
+@example(case=(parse("13^40*" + "*".join(f"(X-{i})" for i in range(1, 13))), 13),
+         max_level=2, extra=28)
+@example(case=(parse("3^5*(X^2-7)^2"), 3), max_level=2, extra=63)
+@example(case=(parse("2^7*(X-1)*(X-3)*(X-5)"), 2), max_level=8, extra=55)
 def test_level_counts_are_the_counts_level_by_level(case, max_level, extra):
     P, p = case
     trunk = build_trunk(P, p, max_level)

@@ -18,8 +18,6 @@ from padic_trunk import (
     is_solution,
     parse,
 )
-from padic_trunk.solver import _level_counts
-from padic_trunk.trunk import CERTIFIED
 
 from invariants import check_trunk
 
@@ -315,19 +313,3 @@ def test_prime_power_validation():
     with pytest.raises(ValueError, match="non-negative"):
         PrimePower(3, -1)
 
-
-@pytest.mark.parametrize("text, p, max_level, thicknesses", [
-    # twelve Hensel tails above the content 13^40
-    ("13^40*" + "*".join(f"(X-{i})" for i in range(1, 13)), 13, 2, {1}),
-    # two power tails of thickness 2
-    ("3^5*(X^2-7)^2", 3, 2, {2}),
-    # a Hensel tail below two expanded levels of thickness 2 and 3
-    ("2^7*(X-1)*(X-3)*(X-5)", 2, 8, {1}),
-], ids=["hensel-tails", "power-tails", "tail-below-expanded-levels"])
-def test_level_counts_extend_certified_tails_by_their_period(text, p, max_level, thicknesses):
-    # _level_counts runs each tail on by p**(t - 1) per t levels; _windows
-    # reads each level's ball off ceil((e - phi) / t) directly
-    trunk = check_trunk(build_trunk(parse(text), p, max_level))
-    assert trunk.fully_resolved
-    assert {n.t for n in trunk.iter_nodes() if n.status in CERTIFIED} == thicknesses
-    assert _level_counts(trunk, 70) == [count_solutions(trunk, e) for e in range(71)]
