@@ -28,8 +28,9 @@ from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 from .analysis import classify_quadratic, poincare_series
-from .parser import parse
+from .parser import _parse_residues, parse
 from .polynomial import _render_terms, poly_to_str
+from .primes import is_prime
 from .solver import (
     _listing,
     ball_decomposition,
@@ -242,8 +243,10 @@ def _balls_text(decomposition) -> list[str]:
 
 def _solve_prime_power(args: argparse.Namespace) -> list[str]:
     p, e = args.prime, args.exp
-    # levels past phi >= e never reach the answer at e
-    trunk = build_trunk(parse(args.poly), p, max(e, 1), levels_only=True)
+    # the answer at e depends only on P modulo p**e, and levels past phi >= e
+    # never reach it; a bad p or e is refused as before, after the exact parse
+    P = _parse_residues(args.poly, p**e) if e >= 1 and is_prime(p) else parse(args.poly)
+    trunk = build_trunk(P, p, max(e, 1), levels_only=True)
     decomposition = None if args.count_only and not args.balls else ball_decomposition(trunk, e)
     count = count_solutions(trunk, e) if decomposition is None else decomposition.count
     blocks = None if args.count_only or args.balls else _listing([decomposition])

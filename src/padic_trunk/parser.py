@@ -20,10 +20,13 @@ The text is tokenized once, and one walk over the tokens computes the
 value as it reads it, with no tree in between.  parse walks twice: first
 over cost estimates, checking the whole text, so a syntax error or a cost
 past MAX_COST beats any expansion; then over Polynomial values.
+_parse_residues, for answers modulo m, walks the second time over residue
+lists modulo m instead.
 """
 
 from __future__ import annotations
 
+import struct
 from math import log2
 
 from .polynomial import Polynomial, _power
@@ -219,6 +222,78 @@ class _Cost:
         return _Cost(self.degree + other.degree, self.log + other.log, self.spent)
 
 
+class _Residues:
+    """A polynomial modulo m >= 2: its ascending residues in [-(m//2), m - m//2),
+    trailing zeros stripped.  A product is one int product of the two lists
+    packed one slot per coefficient (Kronecker substitution): each slot takes
+    whole bytes, enough for the largest sum of products, and holds its
+    coefficient plus half its range, so that signed coefficients pack and
+    unpack at C speed."""
+
+    __slots__ = ("cs", "m")
+
+    def __init__(self, cs: list[int], m: int, offset: int = 0):
+        """The residues of the c - offset for c in cs."""
+        h = m // 2
+        shift = h - offset
+        cs = [(c + shift) % m - h for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.cs, self.m = cs, m
+
+    def __add__(self, other: _Residues) -> _Residues:
+        a, b = self.cs, other.cs
+        if len(a) < len(b):
+            a, b = b, a
+        return _Residues([x + y for x, y in zip(a, b)] + a[len(b):], self.m)
+
+    def __neg__(self) -> _Residues:
+        return _Residues([-c for c in self.cs], self.m)
+
+    def __sub__(self, other: _Residues) -> _Residues:
+        return self + -other
+
+    def __mul__(self, other: _Residues) -> _Residues:
+        a, b = self.cs, other.cs
+        if not a or not b:
+            return _Residues([], self.m)
+        # a slot of the product sums min(len) products: under half its range
+        bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                + min(len(a), len(b)).bit_length() + 1)
+        width = next((w for w in _FORMATS if 8 * w >= bits), (bits + 7) // 8)
+        n = len(a) + len(b) - 1
+        product = ((_biased(a, width) - _bias(len(a), width))
+                   * (_biased(b, width) - _bias(len(b), width)) + _bias(n, width))
+        return _Residues(_slots(product, n, width), self.m, 1 << 8 * width - 1)
+
+
+#: struct formats of the slot widths, in bytes, that struct packs and unpacks
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _bias(n: int, width: int) -> int:
+    """The int with half the range, 2**(8*width - 1), in each of its n slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _biased(cs: list[int], width: int) -> int:
+    """The int whose slots of width bytes hold the cs, each plus half the range."""
+    half = 1 << 8 * width - 1
+    if width in _FORMATS:
+        data = struct.pack(f"<{len(cs)}{_FORMATS[width]}", *[c + half for c in cs])
+    else:
+        data = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+    return int.from_bytes(data, "little")
+
+
+def _slots(x: int, n: int, width: int) -> list[int] | tuple[int, ...]:
+    """The n slots of width bytes of x >= 0, lowest first."""
+    data = x.to_bytes(n * width, "little")
+    if width in _FORMATS:
+        return struct.unpack(f"<{n}{_FORMATS[width]}", data)
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+
+
 def _polynomial_power(base: Polynomial, exp: int, at: int) -> Polynomial:
     if not base.is_zero and base.degree * exp > MAX_EXPONENT:
         raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
@@ -230,15 +305,55 @@ def _evaluate_at(text: str, x: int) -> int:
     return _Parser(text, "X").walk(lambda n: n, x, lambda value, exp, at: value ** exp)
 
 
-def parse(text: str, variable: str = "X") -> Polynomial:
-    """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
+def _checked(text: str, variable: str) -> tuple[_Parser, bool]:
+    """The parser of text once a walk over cost estimates has checked the whole
+    text, so that a syntax error or a cost past MAX_COST beats any expansion;
+    and whether some power's degree bound times its exponent passes
+    MAX_EXPONENT, the only case where the walk over Polynomial values may
+    still refuse the text."""
     parser = _Parser(text, variable)
-    # a walk over cost estimates checks the whole text before any power is expanded;
-    # past MAX_COST the text is refused, and skipping the powers keeps the walk linear
-    spent = [0.0]
-    parser.walk(lambda n: _Cost(0, log2(abs(n) or 1), spent), _Cost(1, 0.0, spent),
-                lambda value, exp, at: value if spent[0] > MAX_COST
-                else _power(value, exp, _Cost(0, 0.0, spent)))
+    spent, wide = [0.0], [False]
+
+    def power(value: _Cost, exp: int, at: int) -> _Cost:
+        # past MAX_COST the text is refused, and skipping the powers keeps the walk linear
+        if spent[0] > MAX_COST:
+            return value
+        wide[0] = wide[0] or value.degree * exp > MAX_EXPONENT
+        return _power(value, exp, _Cost(0, 0.0, spent))
+
+    parser.walk(lambda n: _Cost(0, log2(abs(n) or 1), spent), _Cost(1, 0.0, spent), power)
     if spent[0] > MAX_COST:
         raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
+    return parser, wide[0]
+
+
+def _exact(parser: _Parser) -> Polynomial:
     return parser.walk(lambda n: Polynomial((n,)), Polynomial((0, 1)), _polynomial_power)
+
+
+def parse(text: str, variable: str = "X") -> Polynomial:
+    """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
+    return _exact(_checked(text, variable)[0])
+
+
+def _parse_residues(text: str, m: int) -> Polynomial:
+    """A polynomial congruent to parse(text) modulo m >= 2, refused where and
+    as parse refuses the text.
+
+    After parse's tokens and cost walk, one walk over _Residues computes P
+    mod m, returned as residues of absolute value at most m/2, so a P whose
+    coefficients are smaller comes back as it is.  The walk over Polynomial
+    values runs instead in two cases: when a power's degree bound times its
+    exponent passes MAX_EXPONENT, where parse may refuse the text (it does,
+    or returns the exact P); and when P = 0 mod m, to return P = 0 for the
+    caller to refuse as before, or else the constant m standing for P.
+    """
+    parser, wide = _checked(text, "X")
+    if not wide:
+        one = _Residues([1], m)
+        value = parser.walk(lambda n: _Residues([n], m), _Residues([0, 1], m),
+                            lambda base, exp, at: _power(base, exp, one))
+        if value.cs:
+            return Polynomial._of(value.cs)
+    exact = _exact(parser)
+    return exact if wide or exact.is_zero else Polynomial((m,))

@@ -28,14 +28,17 @@ def val_p(x: int, p: int) -> int | float:
     return math.inf if x == 0 else _strip(x, p)[1]
 
 
-def _taylor_shift(coeffs: tuple[int, ...], r: int) -> list[int]:
+def _taylor_shift(coeffs: tuple[int, ...], r: int, below: int | None = None) -> list[int]:
     """The coefficients of P(r + X) from P's, by repeated synthetic division
-    (no binomials or factorials); shift_scale and trunk.thickness share it."""
+    (no binomials or factorials); shift_scale and trunk.thickness share it.
+    Pass i fixes the coefficient of X**i, so with below only the first below
+    passes run, in O(deg(P) * below) steps, and only those coefficients return."""
     a, n = list(coeffs), len(coeffs)
-    for i in range(n - 1 if r else 0):
+    passes = n - 1 if below is None else min(below, n - 1)
+    for i in range(passes if r else 0):
         for j in range(n - 2, i - 1, -1):
             a[j] += r * a[j + 1]
-    return a
+    return a if below is None else a[:below]
 
 
 class Polynomial:

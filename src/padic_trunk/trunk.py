@@ -39,7 +39,7 @@ def _unit_content(P: Polynomial, p: int) -> bool:
     return any(c % p for c in P.coeffs)
 
 
-def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
+def thickness(P: Polynomial, r: int, p: int, below: int | None = None) -> tuple[int, Polynomial]:
     """Thickness t and successor Q of P at a mod-p root r.
 
     P(r + p*X) = p**t * Q(X) with t maximal, so p does not divide Q.
@@ -47,10 +47,18 @@ def thickness(P: Polynomial, r: int, p: int) -> tuple[int, Polynomial]:
     coefficients of P(r + X), t = min_j (j + v_p(a_j)); each valuation below
     t - j, t the least so far, is read off one remainder a_j % p**(t - j) by
     small-int divisions, at j = 0 also the root test; Q_j = a_j * p**(j - t).
+
+    With below >= 1 only a_j for j < below are computed, in O(deg(P) * below)
+    steps.  Since j + v_p(a_j) >= below for every other j, they give
+    t' = min(t, below) exactly, and the terms Q_j, j < below, with t' for t.
+    When t < below these equal the exact successor's modulo p**(below - t):
+    every term dropped is a_j * p**(j - t) with j >= below.
     """
     if P.is_zero or not _unit_content(P, p):
         raise ValueError("unnormalized input: p divides P")
-    a = _taylor_shift(P.coeffs, r)
+    if below is not None and below < 1:
+        raise ValueError("below must be positive")
+    a = _taylor_shift(P.coeffs, r, below)
     t = len(a)
     for j, c in enumerate(a):
         if j < t and (rem := c % p ** (t - j)):  # v_p(a_j) < t - j
@@ -108,7 +116,9 @@ class TrunkNode:
     successor the polynomial driving the next level, and s its residual
     degree (degree of the successor reduced mod p).  A certified vertex's
     continuation lifts hensel_root, the simple root mod p of its tail: the
-    successor on a Hensel vertex, S(r + p*X) / p on a power one.
+    successor on a Hensel vertex, S(r + p*X) / p on a power one.  In a
+    levels_only trunk (build_trunk) successors are kept only modulo
+    p**(max_level - phi), and t, at phi = max_level, only up to there.
     """
 
     r: int
@@ -186,11 +196,18 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
       * anything still open at max_level: "undetermined".
 
     With levels_only, a branch stops once its cumulative thickness phi
-    reaches max_level instead of its level k.  Since phi >= k this never
-    builds deeper; the trunk has fewer vertices and answers every query
-    at e <= max_level + t0 exactly as the full trunk does, but branches
-    that a deeper build would end as leaves or certify may stay
-    "undetermined", so queries past those levels need a rebuild.
+    reaches max_level instead of its level k, and every successor is kept
+    only modulo p**(max_level - phi): a vertex's children come from
+    thickness(successor, rho, p, below) with below = max_level - phi, which
+    shifts only the below Taylor coefficients that those levels read.  So
+    P0(r + p**k X) = p**phi * successor holds modulo p**max_level, not
+    exactly.  A child with t' = below reaches phi = max_level; it is known
+    only to cover every level up to there, so it stays "undetermined" with
+    the zero successor and s = 0, never a leaf or certified.  Since phi >= k
+    this never builds deeper than the full trunk, and it answers every query
+    at e <= max_level + t0 exactly as the full trunk does; queries past that
+    need a rebuild.  The trunk depends only on P0 modulo p**max_level, up
+    to the power certificate, which tests P0 itself.
     """
     if not isinstance(max_level, int) or max_level < 1:
         raise ValueError("max_level must be a positive integer")
@@ -228,7 +245,7 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             b, a = red.coeffs
             node.hensel_root = -b * pow(a, -1, p) % p
             continue
-        if (node.phi if levels_only else node.k) >= max_level:
+        if node.k >= max_level:
             node.status = STATUS_UNDETERMINED
             continue
 
@@ -237,8 +254,14 @@ def build_trunk(P: Polynomial, p: int, max_level: int, *,
             node.status = STATUS_LEAF
             continue
         node.status = STATUS_EXPANDED
+        below = max_level - node.phi if levels_only else None
         for rho in roots:
-            t, successor = thickness(node.successor, rho, p)
+            t, successor = thickness(node.successor, rho, p, below)
+            if t == below:
+                # phi reaches max_level; nothing of the successor is known
+                node.children.append(TrunkNode(r=node.r + rho * pk, k=node.k + 1, t=t,
+                                               phi=max_level, successor=Polynomial(), s=0))
+                continue
             red = Polynomial._of([c % p for c in successor.coeffs[:t + 1]])
             child = TrunkNode(r=node.r + rho * pk, k=node.k + 1, t=t,
                               phi=node.phi + t, successor=successor,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from padic_trunk import brute_force, enumerate_solutions
 from padic_trunk.solver import ball_decomposition
-from padic_trunk.trunk import STATUS_EXPANDED, STATUS_HENSEL, Trunk
+from padic_trunk.trunk import STATUS_EXPANDED, STATUS_HENSEL, STATUS_UNDETERMINED, Trunk
 
 #: trunks that went through check_trunk, for suite-level accounting
 CHECKED = []
@@ -50,10 +50,14 @@ def _check_balls(trunk: Trunk, e: int) -> None:
         assert len(listed) == decomposition.count
         assert len(set(listed)) == len(listed), "duplicate residues"
         if p**e <= 3 * 10**4:
-            assert listed == brute_force(trunk.P0 * trunk.p**trunk.t0, p**e)
+            assert listed == brute_force((trunk.P0 * trunk.p**trunk.t0).reduce_mod(p**e), p**e)
 
 
-def check_trunk(trunk: Trunk) -> Trunk:
+def check_trunk(trunk: Trunk, levels_only: bool = False) -> Trunk:
+    """Check the trunk's invariants; a levels_only trunk keeps each successor
+    only modulo p**(max_level - phi), so its tree-top identity is checked
+    modulo p**max_level, and a vertex at phi = max_level, whose successor is
+    unknown, must be left undetermined."""
     p = trunk.p
     P0 = trunk.P0
     d = P0.degree
@@ -79,12 +83,20 @@ def check_trunk(trunk: Trunk) -> Trunk:
             width[node.k] = width.get(node.k, 0) + 1
             if node.status == STATUS_HENSEL:
                 assert node.t == 1 and node.s == 1
-            # exact identity P0(r + p**k X) = p**phi * successor
-            shifted = P0.shift_scale(node.r, p**node.k)
-            assert shifted == p**node.phi * node.successor, \
-                f"tree-top identity fails at {(node.r, node.k)}"
-        assert any(c % p for c in node.successor.coeffs), \
-            "successor divisible by p"
+            # the identity P0(r + p**k X) = p**phi * successor, exact in a default trunk
+            difference = P0.shift_scale(node.r, p**node.k) - p**node.phi * node.successor
+            if levels_only:
+                assert all(c % p**trunk.built_depth == 0 for c in difference.coeffs), \
+                    f"tree-top congruence fails at {(node.r, node.k)}"
+            else:
+                assert difference.is_zero, f"tree-top identity fails at {(node.r, node.k)}"
+        if levels_only and node.phi >= trunk.built_depth:
+            assert node.phi == trunk.built_depth, "a levels_only branch passed max_level"
+            assert node.status == STATUS_UNDETERMINED and not node.successor and node.s == 0, \
+                f"a vertex at phi = max_level was resolved at {(node.r, node.k)}"
+        else:
+            assert any(c % p for c in node.successor.coeffs), \
+                "successor divisible by p"
         if node.children:
             assert node.status == STATUS_EXPANDED
             assert sum(c.t for c in node.children) <= node.s, \

@@ -24,6 +24,9 @@ inputs.  A larger seeded run is a script:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import json
 import random
 import time
 
@@ -36,6 +39,7 @@ from padic_trunk import (
     enumerate_solutions,
     is_solution,
 )
+from padic_trunk import cli
 
 PRIMES = (2, 3, 5, 7, 13, 101, 1009)
 #: the level every checked trunk is built to
@@ -109,18 +113,23 @@ def irreducible_factor(rng: random.Random, p: int, degree: int) -> Polynomial:
 
 
 def check_case(P: Polynomial, p: int, rng: random.Random,
-               power: tuple | None = None) -> tuple[int, int, int]:
+               power: tuple | None = None) -> tuple[int, int, int, int]:
     """Compare a trunk of P built to BUILT_DEPTH with the oracle, level by level.
 
     At each level: the count, the sorted listing, and for each ball its r,
     a random member and the neighbour r + p**(k-1) outside it, each both in
     the oracle's set as expected and by is_solution.  For P = c * S**m, given
     as power = (c, S, m), the levels past the listing budget go on through
-    check_power_levels.  Returns the number of levels compared, how many of
-    them are past brute force's reach, and how many went through S.
+    check_power_levels.  Three of the levels compared, the first e >= 1, the
+    first past brute force's reach and the deepest, are also answered by
+    `solve` through check_solve.  Returns the number of levels compared, how
+    many of them are past brute force's reach, how many went through S, and
+    how many `solve` answered.
     """
     trunk = build_trunk(P, p, BUILT_DEPTH)
     levels = deep = 0
+    opened = False
+    solved: dict[int, list[int]] = {}
     for e, expected in lifted_levels(P, p, MAX_E):
         m = p**e
         try:
@@ -128,7 +137,8 @@ def check_case(P: Polynomial, p: int, rng: random.Random,
         except InsufficientDepthError:
             # only a branch left open at the built depth may stop the trunk
             assert e > BUILT_DEPTH + trunk.t0, (P, p, e)
-            return levels, deep, 0
+            opened = True
+            break
         assert count == len(expected), (P, p, e)
         assert enumerate_solutions(trunk, e) == expected, (P, p, e)
         solutions = set(expected)
@@ -141,9 +151,33 @@ def check_case(P: Polynomial, p: int, rng: random.Random,
                 assert is_solution(trunk, x, e) == (x in solutions), (P, p, e, x)
         levels += 1
         deep += m > BRUTE_FORCE_MODULUS
-    if power is None or e == MAX_E:
-        return levels, deep, 0
-    return levels, deep, check_power_levels(trunk, *power, e + 1)
+        if e == 1 or m > BRUTE_FORCE_MODULUS >= m // p:
+            solved[e] = expected
+        deepest = e, expected
+    if levels:
+        solved.setdefault(*deepest)
+    for e, expected in solved.items():
+        check_solve(P, p, e, expected)
+    through_S = 0 if opened or power is None or e == MAX_E else \
+        check_power_levels(trunk, *power, e + 1)
+    return levels, deep, through_S, len(solved)
+
+
+def check_solve(P: Polynomial, p: int, e: int, expected: list[int]) -> None:
+    """`solve --balls --format json` on P's text at p**e, which parses P modulo
+    p**e and builds only the levels e reads, against the oracle's level e:
+    the count, and balls that lie in the solution set and cover it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", "--poly", str(P), "--prime", str(p), "--exp", str(e),
+                         "--balls", "--format", "json"])
+    assert code == 0, (P, p, e)
+    payload = json.loads(out.getvalue())["payload"]
+    assert int(payload["count"]) == len(expected), (P, p, e)
+    balls = [(int(ball["r"]), p ** int(ball["k"])) for ball in payload["balls"]]
+    # balls that cover the level and whose sizes sum to its count are disjoint and inside it
+    assert sum(p**e // pk for _, pk in balls) == len(expected), (P, p, e)
+    assert all(any(x % pk == r for r, pk in balls) for x in expected), (P, p, e)
 
 
 def check_power_levels(trunk, c: int, S: Polynomial, m: int, start: int) -> int:
@@ -187,16 +221,18 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    levels = deep = powers = 0
+    levels = deep = powers = solved = 0
     for _ in range(args.cases):
         P, p, power = random_case(rng)
-        checked, past, through_S = check_case(P, p, rng, power)
+        checked, past, through_S, by_solve = check_case(P, p, rng, power)
         levels += checked + through_S
         deep += past
         powers += through_S
+        solved += by_solve
     print(f"{args.cases} cases: {levels} levels agree, {deep} of them past"
           f" p**e = {BRUTE_FORCE_MODULUS} and {powers} pure-power levels past the"
-          f" listing budget, in {time.perf_counter() - start:.1f} s")
+          f" listing budget, and `solve` agrees on {solved} of them,"
+          f" in {time.perf_counter() - start:.1f} s")
     if args.cases >= 100 and not powers:
         # a run this size always draws pure powers too large to list
         raise SystemExit("no pure-power level was checked past the listing budget")

@@ -267,6 +267,25 @@ def test_errors_exit_nonzero_without_structured_output(capsys):
     assert code == 1 and "not quadratic" in err
 
 
+@pytest.mark.parametrize("poly, prime, exp, message", [
+    ("X-X", "3", "2", "cannot build a trunk for the zero polynomial"),
+    ("9*X^2+9-9*(X^2+1)", "3", "2", "cannot build a trunk for the zero polynomial"),
+    ("X^2+1", "0", "2", "0 is not prime"),
+    ("X^2+1", "4", "2", "4 is not prime"),
+    ("X^2+1", "-3", "2", "-3 is not prime"),
+    ("X^2+1", "3", "-1", "e must be non-negative"),
+    ("X-X", "4", "-1", "cannot build a trunk for the zero polynomial"),
+    ("(X+1", "0", "2", "unbalanced parenthesis (at position 4)"),
+    ("(X^2)^5001", "3", "2", "expanded power degree exceeds bound 10000 (at position 5)"),
+    ("(9*X^2+1)^6000", "3", "2", "estimated expansion cost exceeds bound 4000000000 (at position 0)"),
+])
+def test_solve_modulo_p_to_the_e_refuses_as_the_exact_parse_did(capsys, poly, prime, exp, message):
+    # P is parsed modulo p**e only for a prime p and e >= 1, and refused in the
+    # same order and words: the parse, then build_trunk, then the level
+    assert run_cli(capsys, "solve", "--poly", poly, "--prime", prime, "--exp=" + exp) == \
+        (1, "", f"error: {message}\n")
+
+
 def test_usage_errors_from_argparse(capsys):
     code = main(["solve", "--poly", "X", "--prime", "notanumber", "--exp", "1"])
     captured = capsys.readouterr()

@@ -26,7 +26,12 @@ and were recorded again; the three `*-square` cases pin the new trunk.
 Two cases were added before the series became the level counts times
 its denominator: `poincare-certified-long-numerator-json`, whose
 numerator reaches u^44 past the built depth, and `poincare-open-content`,
-an open trunk with content and a Hensel tail.
+an open trunk with content and a Hensel tail.  Seven cases were added
+before `solve --prime/--exp` began to parse modulo p^e and to shift only
+the Taylor coefficients its levels read: a high-degree product like
+session's, `(X^2-17)^2` at 13^400 (its power certificate on residues),
+negative coefficients, `9*X^2+9`, which is 0 mod 3^2, and the errors
+of `X-X` and of two powers refused by cost and by degree.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -48,6 +53,9 @@ STEM = "(X^2+3)*(X^2+3*X+9)"
 MIXED = "X^4*(X-1)^3*(X+1)^2"
 OPEN = "(X^2-17)^2*(X-3)"
 SQUARE = "(X^2-17)^2"
+#: as session's high-degree requests: two roots of multiplicity >= e mod 5 and
+#: powers of a quadratic and a cubic without roots mod 5
+HIGH_DEGREE = "(X+7)^40*(X-4)^40*(X^2+2)^13*(X^3+3*X+3)^9"
 
 COMMANDS = {
     "trunk-text-finite": ["trunk", "--poly", STEM, "--prime", "3", "--max-level", "5"],
@@ -128,7 +136,18 @@ COMMANDS = {
         "--format", "json"],
     "poincare-open-content": ["poincare", "--poly", "169*(X^2-17)^2*(X-3)", "--prime", "13",
                               "--max-level", "4", "--horizon", "5"],
+    "solve-high-degree-balls-json": ["solve", "--poly", HIGH_DEGREE, "--prime", "5",
+                                     "--exp", "5", "--balls", "--format", "json"],
+    "solve-square-deep-balls": ["solve", "--poly", SQUARE, "--prime", "13", "--exp", "400",
+                                "--balls"],
+    "solve-negative-balls": ["solve", "--poly", "-(X-1)^3*(X+1)^2", "--prime", "2",
+                             "--exp", "12", "--balls"],
+    "solve-zero-mod-modulus-balls": ["solve", "--poly", "9*X^2+9", "--prime", "3",
+                                     "--exp", "2", "--balls"],
     "error-not-prime": ["solve", "--poly", "X^2+1", "--prime", "4", "--exp", "2"],
+    "error-zero-polynomial": ["solve", "--poly", "X-X", "--prime", "3", "--exp", "2"],
+    "error-power-cost": ["solve", "--poly", "(9*X^2+1)^6000", "--prime", "3", "--exp", "2"],
+    "error-power-degree": ["solve", "--poly", "(X^2)^5001", "--prime", "3", "--exp", "2"],
     "error-with-fans": ["trunk", "--poly", "X", "--prime", "3", "--max-level", "2",
                         "--with-fans", "2"],
 }

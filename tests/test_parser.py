@@ -3,10 +3,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_trunk import ParseError, Polynomial, X, parse, poly_to_str
 from padic_trunk import parser
-from padic_trunk.parser import MAX_COST, MAX_DIGITS, _evaluate_at
+from padic_trunk.parser import MAX_COST, MAX_DIGITS, _evaluate_at, _parse_residues
 
 
 def test_product_expansion():
@@ -196,3 +198,81 @@ def test_longer_literals_are_a_parse_error(lift):
     finally:
         set_limit(old)
     assert info.value.position == 4
+
+
+# ----------------------------------------------------------------------
+# the residue walk that solve --prime/--exp parses with
+# ----------------------------------------------------------------------
+
+@st.composite
+def texts(draw, depth=0):
+    """A text of the grammar: literals up to 40 digits, content p**j, runs of
+    unary minus, sums, products by "*", by a space or by parentheses,
+    nesting and powers; each power's degree stays far below MAX_EXPONENT."""
+    kind = draw(st.integers(0, 5 if depth < 3 else 1))
+    if kind == 0:
+        text = str(draw(st.one_of(st.integers(0, 30), st.integers(0, 10**40))))
+    elif kind == 1:
+        text = draw(st.sampled_from(["X", "x", "−X"]))
+    elif kind == 2:
+        text = "(" + draw(texts(depth + 1)) + ")"
+    elif kind == 3:
+        text = "(" + draw(texts(depth + 1)) + ")^" + str(draw(st.integers(0, 4)))
+    elif kind == 4:
+        first, *rest = draw(st.lists(texts(depth + 1), min_size=2, max_size=3))
+        text = "(" + first + "".join(draw(st.sampled_from(["+", " - ", "-"])) + q for q in rest) + ")"
+    else:
+        parts = draw(st.lists(texts(depth + 1), min_size=2, max_size=3))
+        text = draw(st.sampled_from(["*", " ", ")("])).join(parts)
+        text = "(" + text + ")" if ")(" in text else text
+    return "-" * draw(st.integers(0, 2)) + text
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(text=texts(), p=st.sampled_from([2, 3, 5, 13, 101]), e=st.integers(1, 40),
+       content=st.integers(0, 3))
+def test_residue_parse_is_parse_modulo_m(text, p, e, content):
+    text = f"{p}^{content}*({text})" if content else text
+    m = p**e
+    P, R = parse(text), _parse_residues(text, m)
+    assert all(c % m == 0 for c in (P - R).coeffs)
+    if P.is_zero:
+        assert R.is_zero
+    elif all(c % m == 0 for c in P.coeffs):
+        # P = 0 mod m, and not 0: the constant m stands for it
+        assert R == Polynomial([m])
+    else:
+        assert all(-(m // 2) <= c < m - m // 2 for c in R.coeffs)
+        if all(2 * abs(c) < m for c in P.coeffs):
+            assert R == P
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("(X+1", id="syntax"),
+    pytest.param("X-" + "1" * (MAX_DIGITS + 1), id="4301-digit-literal"),
+    pytest.param("(X^2+1)^5000 - (X^9)^9^9", id="cost"),
+    pytest.param("(9*X^2+1)^6000", id="cost-of-a-power-that-vanishes-mod-9"),
+    pytest.param("(X^2)^5001", id="power-degree"),
+    pytest.param("(3*X^2)^5001", id="power-degree-of-a-power-that-vanishes-mod-9"),
+    pytest.param("X^10001", id="exponent"),
+])
+def test_residue_parse_refuses_what_parse_refuses(text):
+    with pytest.raises(ParseError) as exact:
+        parse(text)
+    with pytest.raises(ParseError) as residues:
+        _parse_residues(text, 9)
+    assert type(residues.value) is type(exact.value)
+    assert str(residues.value) == str(exact.value)
+
+
+def test_residue_parse_of_a_multiple_of_m_takes_the_exact_walk():
+    assert _parse_residues("X-X", 9).is_zero
+    assert _parse_residues("9*X^2+9 - 9*(X^2+1)", 9).is_zero
+    assert _parse_residues("9*X^2+9", 9) == Polynomial([9])
+    # degree bound 10002 past MAX_EXPONENT: the exact walk, which accepts it
+    assert _parse_residues("(X^5001-X^5001+3*X)^2", 9) == Polynomial([0, 0, 9])
+    # the content 3^(10^6) vanishes mod 9 after a few squarings; the exact
+    # walk then only tells that P is not 0, so no valuation is taken
+    start = time.perf_counter()
+    assert _parse_residues("3^10000^10^10*X", 9) == Polynomial([9])
+    assert time.perf_counter() - start < 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from padic_trunk import (
     Polynomial, QuadraticClass, X, build_trunk, classify_quadratic, parse, poly_to_str, val_p)
+from padic_trunk.polynomial import _taylor_shift
 
 
 EX1 = parse("(X^2+3)*(X^2+3*X+9)")
@@ -123,6 +124,15 @@ def test_shift_scale_agrees_with_evaluation():
         assert shifted.degree == P.degree
         for x in (-3, 0, 1, 9):
             assert shifted.evaluate(x) == P.evaluate(r + p * x)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(cs=st.lists(st.one_of(st.integers(-50, 50), st.integers(-2**300, 2**300)), max_size=14),
+       r=st.one_of(st.integers(-5, 5), st.integers(-2**100, 2**100)), n=st.integers(1, 16))
+def test_a_truncated_taylor_shift_is_the_start_of_the_full_one(cs, r, n):
+    # pass i fixes the coefficient of X**i, so n passes give the first n
+    full = _taylor_shift(tuple(cs), r)
+    assert _taylor_shift(tuple(cs), r, n) == full[:n]
 
 
 def test_p_content_composition_identity():

@@ -120,6 +120,27 @@ def test_thickness_is_the_content_of_the_shifted_polynomial(case):
         thickness(P + 1, r, p)
 
 
+@settings(deterministic, max_examples=400)
+@given(case=st.one_of(thickness_inputs(), shifted_thickness_inputs()), below=st.integers(1, 14))
+def test_a_truncated_thickness_is_exact_up_to_below(case, below):
+    P, r, p = case
+    t, Q = thickness(P, r, p)
+    cut, head = thickness(P, r, p, below)
+    assert cut == min(t, below)
+    # Q's terms below X**below, with cut for t: p**cut divides P(r + p*X)
+    shifted = P.shift_scale(r, p).coeffs
+    assert head == Polynomial([c // p**cut for c in shifted[:below]])
+    if t < below:
+        # the exact successor's terms below X**below, and the dropped terms
+        # vanish modulo p**(below - t)
+        assert head == Polynomial(Q.coeffs[:below])
+        assert all(c % p ** (below - t) == 0 for c in Q.coeffs[below:])
+    with pytest.raises(ValueError, match=re.escape(f"not a root: P({r}) is nonzero modulo {p}")):
+        thickness(P + 1, r, p, below)
+    with pytest.raises(ValueError, match="below must be positive"):
+        thickness(P, r, p, 0)
+
+
 # ----------------------------------------------------------------------
 # trunks against brute force
 # ----------------------------------------------------------------------
@@ -174,6 +195,26 @@ def pure_powers(draw, max_degree=3):
     return c * S ** draw(st.integers(2, 6 if degree == 1 else 4)), p
 
 
+#: a polynomial of degree 2 and one of degree 3 without roots mod p
+ROOTLESS = {2: ((1, 1, 1), (1, 1, 0, 1)), 3: ((1, 0, 1), (1, 2, 0, 1)),
+            5: ((2, 0, 1), (3, 3, 0, 1))}
+
+
+@st.composite
+def high_degree_products(draw):
+    """(P, p) as session's high-degree requests: c * (X - r1)**a * (X - r2)**b *
+    Q2(X + u)**c2 * Q3(X + v)**c3 of degree up to 300, r1 != r2 mod p, Q2 and Q3
+    without roots mod p, and both multiplicities at least 6 >= max_level."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    r1 = draw(st.integers(-20, 20))
+    r2 = r1 + draw(st.integers(1, p - 1)) + p * draw(st.integers(-3, 3))
+    a, b = draw(st.integers(6, 90)), draw(st.integers(6, 90))
+    c2, c3 = draw(st.integers(0, 30)), draw(st.integers(0, 20))
+    Q2, Q3 = (Polynomial(q).shift_scale(draw(st.integers(-20, 20)), 1) for q in ROOTLESS[p])
+    c = draw(st.sampled_from([1, -1, 7])) * p ** draw(st.integers(0, 2))
+    return c * Polynomial([-r1, 1])**a * Polynomial([-r2, 1])**b * Q2**c2 * Q3**c3, p
+
+
 def _sufficient_trunk(P, p, trunk, e):
     """The trunk itself, or a rebuild at the max_level the error names."""
     try:
@@ -188,7 +229,7 @@ def _sufficient_trunk(P, p, trunk, e):
 def _check_level(P, p, trunk, e):
     """count, balls, membership and enumeration at p**e against brute force."""
     m = p**e
-    expected = brute_force(P, m)
+    expected = brute_force(P.reduce_mod(m), m)
     assert count_solutions(trunk, e) == len(expected)
     decomposition = ball_decomposition(trunk, e)
     covered = [x for ball in decomposition.balls
@@ -215,19 +256,37 @@ def _check_same_answers(trunk, full, e):
 @settings(deterministic, max_examples=120)
 @given(case=trunk_inputs(), max_level=st.integers(1, 6), levels_only=st.booleans())
 def test_trunk_answers_match_brute_force(case, max_level, levels_only):
-    P, p = case
+    _check_trunk_answers(*case, max_level, levels_only)
+
+
+@settings(deterministic, max_examples=16)
+@given(case=high_degree_products(), max_level=st.integers(1, 6), levels_only=st.booleans())
+def test_trunk_answers_match_brute_force_at_high_degree(case, max_level, levels_only):
+    # session's solve requests: every level-1 vertex of a levels_only trunk
+    # reaches phi = max_level from the shift's first max_level coefficients
+    _check_trunk_answers(*case, max_level, levels_only)
+
+
+def _check_trunk_answers(P, p, max_level, levels_only):
+    """A trunk of P answers as brute force at every level up to MAX_MODULUS,
+    rebuilt past its depth; a levels_only trunk also as the full trunk at
+    every level it was built for, and it refuses the next."""
     full = trunk = check_trunk(build_trunk(P, p, max_level))
     if levels_only:
-        trunk = check_trunk(build_trunk(P, p, max_level, levels_only=True))
+        trunk = check_trunk(build_trunk(P, p, max_level, levels_only=True), levels_only=True)
         # a subtrunk of the full trunk that expands no vertex with phi >= max_level
         vertices = {(n.r, n.k) for n in full.iter_nodes()}
         assert all((n.r, n.k) in vertices for n in trunk.iter_nodes())
         assert all(n.phi < max_level for n in [trunk.root, *trunk.iter_nodes()] if n.children)
+        if not trunk.fully_resolved:
+            with pytest.raises(InsufficientDepthError):
+                count_solutions(trunk, max_level + trunk.t0 + 1)
     e = 1
-    while p**e <= MAX_MODULUS:
+    while e <= max_level + trunk.t0 or p**e <= MAX_MODULUS:
         if e <= max_level + trunk.t0:
             # answered by the trunk as built, no rebuild
-            _check_level(P, p, trunk, e)
+            if p**e <= MAX_MODULUS:
+                _check_level(P, p, trunk, e)
             if levels_only:
                 _check_same_answers(trunk, full, e)
         else:
