@@ -16,27 +16,27 @@ Precedence: ^ binds tighter than unary minus, which binds tighter than
 nest at most MAX_NESTING deep, and integer literals are decimal digits,
 at most MAX_DIGITS of them on every Python.
 
-The text is tokenized once, and one walk over the tokens computes the
-value as it reads it, with no tree in between.  parse walks twice: first
-over cost estimates, checking the whole text, so a syntax error or a cost
-past MAX_COST beats any expansion; then over Polynomial values.
-_parse_residues, for answers modulo m, walks the second time over residue
-lists modulo m instead.
+The text is tokenized and compiled once, to a postfix program.  One loop
+over the program estimates the expansion's cost, so a syntax error or a
+cost past MAX_COST beats any expansion; one more loop evaluates it over
+coefficient lists, exactly for parse or as residues modulo m for
+_parse_residues.
 """
 
 from __future__ import annotations
 
-import struct
 from math import log2
 
-from .polynomial import Polynomial, _power
+from .polynomial import Polynomial, _mul_coeffs, _pow_coeffs, _reduce_coeffs
 
 #: Largest accepted exponent literal, and largest expanded power degree.
 MAX_EXPONENT = 10_000
 
 #: Largest accepted estimate of the expansion's products of 30-bit digits (not
-#: its sums).  Each took 0.8-1.5 ns on CPython 3.11: (X+1)^1000*(X+2)^1000 at
-#: 2.1e9 takes 1.7-3.2 s, and (X^2+1)^5000 at 1.5e11 took 268 s before this bound.
+#: its sums), calibrated on term-by-term products at 0.8-1.5 ns each on CPython
+#: 3.11: (X+1)^1000*(X+2)^1000 at 2.1e9 took 1.7-3.2 s so, and (X^2+1)^5000 at
+#: 1.5e11 took 268 s before this bound.  Packed products run below it: the
+#: former now parses in 0.5-1.1 s.
 MAX_COST = 4 * 10**9
 
 #: Deepest accepted nesting of parentheses; bounds the parser's recursion.
@@ -60,300 +60,217 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "−":  # unicode minus
-            ch = "-"
         if ch in "+-*^()":
             tokens.append(("op", ch, i))
             i += 1
-            continue
-        if ch.isdecimal():  # exactly the digits int() accepts
-            j = i
+        elif ch.isdecimal():  # exactly the digits int() accepts
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", i)
             tokens.append(("int", int(text[i:j]), i))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        elif ch.isspace():
+            i += 1
+        elif ch == "−":  # unicode minus
+            tokens.append(("op", "-", i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", None, n))
     return tokens
 
 
-class _Parser:
-    """One pass over the tokens that computes the value as it reads it.
+def _compile(text: str, variable: str) -> list[tuple[str, object, int]]:
+    """The postfix program of text, or the ParseError of its first syntax error.
 
-    A walk takes const(n) for a literal, var for the variable and
-    power(value, exponent, position) for "^"; the values' own + - * do the
-    rest.  Sums, products, runs of unary minus and "^" chains fold in loops,
-    so only parentheses recurse, at most MAX_NESTING deep."""
+    Instructions are (op, arg, position): ("int", n, _) and ("x", None, _)
+    push a value; "+", "-" and "*" combine the top two; "neg" negates the
+    top; ("^", exponent, position of "^") raises it.  One descent writes
+    them: sums, products, runs of unary minus and "^" chains are loops, so
+    only parentheses recurse, at most MAX_NESTING deep."""
+    tokens = _tokenize(text)
+    variable = variable.lower()
+    program: list[tuple[str, object, int]] = []
+    emit = program.append
+    pos = 0
 
-    def __init__(self, text: str, variable: str):
-        self.tokens = _tokenize(text)
-        self.variable = variable.lower()
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def walk(self, const, var, power):
-        self.const, self.var, self.power_of = const, var, power
-        self.pos = 0
-        self.nesting = 0
-        value = self.expr()
-        # expr returns only at ")" or the end: every other token goes on a sum or a term
-        kind, _, at = self.peek()
-        if kind != "end":
-            raise ParseError("unbalanced parenthesis", at)
-        return value
-
-    def expr(self):
-        value = self.term()
+    def expr(nesting: int) -> None:
+        nonlocal pos
+        term(nesting)
         while True:
-            kind, op, _ = self.peek()
-            if kind == "op" and op in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
-            else:
-                return value
+            kind, op, at = tokens[pos]
+            if kind != "op" or op not in ("+", "-"):
+                return
+            pos += 1
+            term(nesting)
+            emit((op, None, at))
 
-    def term(self):
-        value = self.factor()
+    def term(nesting: int) -> None:
+        nonlocal pos
+        factor(nesting)
         while True:
-            kind, op, _ = self.peek()
+            kind, op, at = tokens[pos]
             if kind == "op" and op == "*":
-                self.advance()
+                pos += 1
             elif not (kind in ("int", "name") or (kind == "op" and op == "(")):
-                return value
+                return
             # "*", or adjacency: "3X", "(X+1)(X+2)", "2(X-1)"
-            value = value * self.factor()
+            factor(nesting)
+            emit(("*", None, at))
 
-    def factor(self):
-        signs = 0
-        while self.peek()[:2] == ("op", "-"):
-            self.advance()
+    def factor(nesting: int) -> None:  # "-"* atom ("^" exponent)*
+        nonlocal pos
+        signs, sign_at = 0, tokens[pos][2]
+        while tokens[pos][:2] == ("op", "-"):
+            pos += 1
             signs += 1
-        value = self.power()
-        return -value if signs % 2 else value
-
-    def power(self):
-        value = self.atom()
-        while True:
-            kind, op, at = self.peek()
-            if kind == "op" and op == "^":
-                self.advance()
-                value = self.power_of(value, self.exponent(), at)
-            else:
-                return value
-
-    def exponent(self) -> int:
-        negative = self.peek()[:2] == ("op", "-")
-        if negative:
-            self.advance()
-        kind, value, at = self.advance()
-        if kind != "int":
-            raise ParseError("exponent must be an integer literal", at)
-        if negative:
-            raise ParseError("negative exponent not allowed", at)
-        if value > MAX_EXPONENT:
-            raise ParseError(f"exponent exceeds bound {MAX_EXPONENT}", at)
-        return value
-
-    def atom(self):
-        kind, value, at = self.advance()
+        kind, value, at = tokens[pos]
+        pos += 1
         if kind == "int":
-            return self.const(value)
-        if kind == "name":
-            if value.lower() != self.variable:
+            emit(("int", value, at))
+        elif kind == "name":
+            if value.lower() != variable:
                 raise ParseError(f"unknown identifier {value!r}", at)
-            return self.var
-        if kind == "op" and value == "(":
-            self.nesting += 1
-            if self.nesting > MAX_NESTING:
+            emit(("x", None, at))
+        elif kind == "op" and value == "(":
+            if nesting == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
-            inner = self.expr()
-            self.nesting -= 1
-            kind, value, at = self.advance()
+            expr(nesting + 1)
+            kind, value, at = tokens[pos]
+            pos += 1
             if kind != "op" or value != ")":
                 raise ParseError("unbalanced parenthesis", at)
-            return inner
-        if kind == "end":
+        elif kind == "end":
             raise ParseError("unexpected end of input", at)
-        raise ParseError(f"unexpected token {value!r}", at)
+        else:
+            raise ParseError(f"unexpected token {value!r}", at)
+        while tokens[pos][:2] == ("op", "^"):
+            at = tokens[pos][2]
+            negative = tokens[pos + 1][:2] == ("op", "-")
+            pos += 2 + negative
+            kind, value, where = tokens[pos - 1]
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal", where)
+            if negative:
+                raise ParseError("negative exponent not allowed", where)
+            if value > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds bound {MAX_EXPONENT}", where)
+            emit(("^", value, at))
+        if signs % 2:
+            emit(("neg", None, sign_at))
+
+    expr(0)
+    # expr returns only at ")" or the end: every other token goes on a sum or a term
+    kind, _, at = tokens[pos]
+    if kind != "end":
+        raise ParseError("unbalanced parenthesis", at)
+    return program
 
 
-class _Cost:
-    """Bounds on a value's degree and on log2 of its absolute coefficient sum, which
-    is submultiplicative; products add their products of 30-bit digits to spent."""
-
-    __slots__ = ("degree", "log", "spent")
-
-    def __init__(self, degree: int, log: float, spent: list[float]):
-        self.degree, self.log, self.spent = degree, log, spent
-
-    def __add__(self, other: _Cost) -> _Cost:
-        a, b = self.log, other.log
-        log = a + log2(1 + 2.0 ** (b - a)) if a >= b else b + log2(1 + 2.0 ** (a - b))
-        return _Cost(max(self.degree, other.degree), log, self.spent)
-
-    __sub__ = __add__
-
-    def __neg__(self) -> _Cost:
-        return self
-
-    def __mul__(self, other: _Cost) -> _Cost:
-        self.spent[0] += ((self.degree + 1) * (other.degree + 1)
-                          * (self.log // 30 + 1) * (other.log // 30 + 1))
-        return _Cost(self.degree + other.degree, self.log + other.log, self.spent)
-
-
-class _Residues:
-    """A polynomial modulo m >= 2: its ascending residues in [-(m//2), m - m//2),
-    trailing zeros stripped.  A product is one int product of the two lists
-    packed one slot per coefficient (Kronecker substitution): each slot takes
-    whole bytes, enough for the largest sum of products, and holds its
-    coefficient plus half its range, so that signed coefficients pack and
-    unpack at C speed."""
-
-    __slots__ = ("cs", "m")
-
-    def __init__(self, cs: list[int], m: int, offset: int = 0):
-        """The residues of the c - offset for c in cs."""
-        h = m // 2
-        shift = h - offset
-        cs = [(c + shift) % m - h for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.cs, self.m = cs, m
-
-    def __add__(self, other: _Residues) -> _Residues:
-        a, b = self.cs, other.cs
-        if len(a) < len(b):
-            a, b = b, a
-        return _Residues([x + y for x, y in zip(a, b)] + a[len(b):], self.m)
-
-    def __neg__(self) -> _Residues:
-        return _Residues([-c for c in self.cs], self.m)
-
-    def __sub__(self, other: _Residues) -> _Residues:
-        return self + -other
-
-    def __mul__(self, other: _Residues) -> _Residues:
-        a, b = self.cs, other.cs
-        if not a or not b:
-            return _Residues([], self.m)
-        # a slot of the product sums min(len) products: under half its range
-        bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-                + min(len(a), len(b)).bit_length() + 1)
-        width = next((w for w in _FORMATS if 8 * w >= bits), (bits + 7) // 8)
-        n = len(a) + len(b) - 1
-        product = ((_biased(a, width) - _bias(len(a), width))
-                   * (_biased(b, width) - _bias(len(b), width)) + _bias(n, width))
-        return _Residues(_slots(product, n, width), self.m, 1 << 8 * width - 1)
-
-
-#: struct formats of the slot widths, in bytes, that struct packs and unpacks
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _bias(n: int, width: int) -> int:
-    """The int with half the range, 2**(8*width - 1), in each of its n slots."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-
-
-def _biased(cs: list[int], width: int) -> int:
-    """The int whose slots of width bytes hold the cs, each plus half the range."""
-    half = 1 << 8 * width - 1
-    if width in _FORMATS:
-        data = struct.pack(f"<{len(cs)}{_FORMATS[width]}", *[c + half for c in cs])
-    else:
-        data = b"".join([(c + half).to_bytes(width, "little") for c in cs])
-    return int.from_bytes(data, "little")
-
-
-def _slots(x: int, n: int, width: int) -> list[int] | tuple[int, ...]:
-    """The n slots of width bytes of x >= 0, lowest first."""
-    data = x.to_bytes(n * width, "little")
-    if width in _FORMATS:
-        return struct.unpack(f"<{n}{_FORMATS[width]}", data)
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
-
-
-def _polynomial_power(base: Polynomial, exp: int, at: int) -> Polynomial:
-    if not base.is_zero and base.degree * exp > MAX_EXPONENT:
-        raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
-    return base ** exp
-
-
-def _evaluate_at(text: str, x: int) -> int:
-    """Evaluate the text at an integer without expanding it (for cross-checks)."""
-    return _Parser(text, "X").walk(lambda n: n, x, lambda value, exp, at: value ** exp)
-
-
-def _checked(text: str, variable: str) -> tuple[_Parser, bool]:
-    """The parser of text once a walk over cost estimates has checked the whole
-    text, so that a syntax error or a cost past MAX_COST beats any expansion;
-    and whether some power's degree bound times its exponent passes
-    MAX_EXPONENT, the only case where the walk over Polynomial values may
-    still refuse the text."""
-    parser = _Parser(text, variable)
-    spent, wide = [0.0], [False]
-
-    def power(value: _Cost, exp: int, at: int) -> _Cost:
-        # past MAX_COST the text is refused, and skipping the powers keeps the walk linear
-        if spent[0] > MAX_COST:
-            return value
-        wide[0] = wide[0] or value.degree * exp > MAX_EXPONENT
-        return _power(value, exp, _Cost(0, 0.0, spent))
-
-    parser.walk(lambda n: _Cost(0, log2(abs(n) or 1), spent), _Cost(1, 0.0, spent), power)
-    if spent[0] > MAX_COST:
+def _check_cost(program: list[tuple[str, object, int]]) -> bool:
+    """Refuse a program whose expansion is estimated past MAX_COST products of
+    30-bit digits; else return whether some power's degree bound times its
+    exponent passes MAX_EXPONENT, the only case where evaluating may refuse it.
+    A value is bounded by its degree d and log2 l of its absolute coefficient
+    sum, which is submultiplicative; a product costs (d1 + 1) * (d2 + 1) *
+    (l1 // 30 + 1) * (l2 // 30 + 1), and a power the products that
+    polynomial._power's square-and-multiply makes, replayed below so that
+    refusals stay put although evaluation raises by one packed int **."""
+    stack: list[tuple[int, float]] = []
+    spent = 0.0
+    wide = False
+    for op, arg, _ in program:
+        if op == "int":
+            stack.append((0, log2(abs(arg) or 1)))
+        elif op == "x":
+            stack.append((1, 0.0))
+        elif op == "*":
+            d2, l2 = stack.pop()
+            d1, l1 = stack[-1]
+            spent += (d1 + 1) * (d2 + 1) * (l1 // 30 + 1) * (l2 // 30 + 1)
+            stack[-1] = (d1 + d2, l1 + l2)
+        elif op == "^":
+            # past MAX_COST the text is refused, and skipping the powers keeps the loop linear
+            if spent > MAX_COST:
+                continue
+            d, l = stack[-1]
+            wide = wide or d * arg > MAX_EXPONENT
+            pd, pl = 0, 0.0
+            for i in range(arg.bit_length()):
+                if i:
+                    spent += (d + 1) * (d + 1) * (l // 30 + 1) * (l // 30 + 1)
+                    d, l = d + d, l + l
+                if arg >> i & 1:
+                    spent += (pd + 1) * (d + 1) * (pl // 30 + 1) * (l // 30 + 1)
+                    pd, pl = pd + d, pl + l
+            stack[-1] = (pd, pl)
+        elif op != "neg":  # + or -: the coefficient sums add
+            d2, l2 = stack.pop()
+            d1, l1 = stack[-1]
+            log = l1 + log2(1 + 2.0 ** (l2 - l1)) if l1 >= l2 else l2 + log2(1 + 2.0 ** (l1 - l2))
+            stack[-1] = (max(d1, d2), log)
+    if spent > MAX_COST:
         raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
-    return parser, wide[0]
+    return wide
 
 
-def _exact(parser: _Parser) -> Polynomial:
-    return parser.walk(lambda n: Polynomial((n,)), Polynomial((0, 1)), _polynomial_power)
+def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
+    """The coefficients of the program's value, lowest first with no trailing
+    zero: exact, or with m >= 2 its residues in [-(m//2), m - m//2), reduced
+    after every step so that packed products stay narrow."""
+    stack: list[list[int]] = []
+    for op, arg, at in program:
+        if op == "int":
+            value = [arg]
+        elif op == "x":
+            value = [0, 1]
+        elif op == "*":
+            value = _mul_coeffs(stack.pop(), stack.pop(), m)
+        elif op == "^":
+            value = stack.pop()
+            if value and (len(value) - 1) * arg > MAX_EXPONENT:
+                raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
+            value = _pow_coeffs(value, arg, m)
+        elif op == "neg":
+            value = [-c for c in stack.pop()]
+        else:
+            b, a = stack.pop(), stack.pop()
+            if op == "-":
+                b = [-c for c in b]
+            if len(a) < len(b):
+                a, b = b, a
+            value = [x + y for x, y in zip(a, b)] + a[len(b):]
+        stack.append(_reduce_coeffs(value, m))
+    return stack[0]
 
 
 def parse(text: str, variable: str = "X") -> Polynomial:
     """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
-    return _exact(_checked(text, variable)[0])
+    program = _compile(text, variable)
+    _check_cost(program)
+    return Polynomial._of(_evaluate(program))
 
 
 def _parse_residues(text: str, m: int) -> Polynomial:
-    """A polynomial congruent to parse(text) modulo m >= 2, refused where and
-    as parse refuses the text.
-
-    After parse's tokens and cost walk, one walk over _Residues computes P
-    mod m, returned as residues of absolute value at most m/2, so a P whose
-    coefficients are smaller comes back as it is.  The walk over Polynomial
-    values runs instead in two cases: when a power's degree bound times its
-    exponent passes MAX_EXPONENT, where parse may refuse the text (it does,
-    or returns the exact P); and when P = 0 mod m, to return P = 0 for the
-    caller to refuse as before, or else the constant m standing for P.
-    """
-    parser, wide = _checked(text, "X")
+    """P = parse(text) modulo m >= 2, as residues of absolute value at most
+    m/2 (so a P with smaller coefficients comes back as it is), refused where
+    and as parse refuses the text.  The program runs exactly instead when a
+    power's degree bound times its exponent passes MAX_EXPONENT, where parse
+    may refuse it, and when P = 0 mod m: P = 0 returns for the caller to
+    refuse, and any other such P as the constant m."""
+    program = _compile(text, "X")
+    wide = _check_cost(program)
     if not wide:
-        one = _Residues([1], m)
-        value = parser.walk(lambda n: _Residues([n], m), _Residues([0, 1], m),
-                            lambda base, exp, at: _power(base, exp, one))
-        if value.cs:
-            return Polynomial._of(value.cs)
-    exact = _exact(parser)
+        residues = _evaluate(program, m)
+        if residues:
+            return Polynomial._of(residues)
+    exact = Polynomial._of(_evaluate(program))
     return exact if wide or exact.is_zero else Polynomial((m,))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 from itertools import zip_longest
 from typing import Iterable
 
@@ -136,14 +137,7 @@ class Polynomial:
         q = _coerce(other)
         if q is None:
             return NotImplemented
-        if self.is_zero or q.is_zero:
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(q.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(q.coeffs):
-                    out[i + j] += a * b
-        return Polynomial._of(out)
+        return Polynomial._of(_mul_coeffs(self.coeffs, q.coeffs))
 
     __rmul__ = __mul__
 
@@ -385,6 +379,105 @@ def _power(base, n: int, one):
         base = base * base if i else base
         one = one * base if n >> i & 1 else one
     return one
+
+
+# Coefficient lists below are ascending without trailing zeros: exact, or
+# with m >= 2 residues in [-(m//2), m - m//2), whose products _reduce_coeffs
+# brings back into that range.
+
+def _reduce_coeffs(cs: list[int], m: int) -> list[int]:
+    """cs with trailing zeros stripped, reduced to residues mod m if m."""
+    if m:
+        h = m // 2
+        cs = [(c + h) % m - h for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _mul_coeffs(a, b, m: int = 0) -> list[int]:
+    """The product of two coefficient lists, exactly or of residues mod m.
+
+    A constant or monomial factor scales and shifts the other.  Up to 64
+    pairs of nonzero terms multiply term by term, skipping zeros, and so do
+    factors that one packed int would hold in over four times their own
+    bits plus a word per coefficient: slots as wide as the widest product
+    waste most of such an int where a few wide coefficients stand among
+    narrow ones or zeros.  The rest go through one packed int product
+    (_packed).  Residues are at most m/2, which bounds the slots without a
+    scan where they fit a word."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    for s, t, nonzero in ((a, b, nonzero_a), (b, a, nonzero_b)):
+        if nonzero == 1:  # s = c * X^k
+            c = s[-1]
+            return [0] * (len(s) - 1) + (list(t) if c == 1 else [c * y for y in t])
+    if nonzero_a * nonzero_b > 64:
+        bits = 2 * (m // 2).bit_length() + len(a).bit_length()
+        if m and bits <= 63:
+            return _packed([a, b], 1, bits)
+        widths = [list(map(int.bit_length, cs)) for cs in (a, b)]
+        bits = max(widths[0]) + max(widths[1]) + len(a).bit_length()
+        if all(len(w) * bits <= 4 * sum(w) + 256 * len(w) for w in widths):
+            return _packed([a, b], 1, bits)
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _pow_coeffs(a: list[int], k: int, m: int = 0) -> list[int]:
+    """a**k, exactly or modulo m.  A monomial raises its coefficient; else one
+    int ** raises the packed a, in slots wide enough for the exact power.
+    Modulo m, where those slots would be wider than both a machine word and
+    a product of residues, a**(k//2) is found so and reduced, then squared."""
+    if k < 2 or not a:
+        return list(a) if k else [1]
+    if len(a) - a.count(0) == 1:
+        return [0] * ((len(a) - 1) * k) + [pow(a[-1], k, m) if m else a[-1] ** k]
+    n = (len(a) - 1) * k + 1
+    total = sum(map(abs, a))
+    if m and k * math.log2(total) > max(63, 2 * m.bit_length() + n.bit_length()):
+        half = _reduce_coeffs(_pow_coeffs(a, k // 2, m), m)
+        out = _mul_coeffs(half, half, m)
+        return _mul_coeffs(_reduce_coeffs(out, m), a, m) if k & 1 else out
+    return _packed([a], k, (total ** k).bit_length())
+
+
+#: struct formats of the signed slots, by width in bytes, that struct packs
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _packed(factors: list, k: int, bits: int) -> list[int]:
+    """The product of the factors, to the power k, as one int product and
+    power of them packed one coefficient per slot of whole bytes (Kronecker
+    substitution); every coefficient, the result's too, is below 2**bits in
+    absolute value.  A slot holds c in two's complement, and flipping its
+    top bit makes it c plus half the range, so the packed int is that less
+    the bias, half the range in every slot."""
+    width = next((w for w in _FORMATS if 8 * w > bits), bits // 8 + 1)
+    fmt = _FORMATS.get(width)
+    x, n = 1, 1
+    for cs in factors:
+        if fmt:
+            data = struct.pack(f"<{len(cs)}{fmt}", *cs)
+        else:
+            data = b"".join([c.to_bytes(width, "little", signed=True) for c in cs])
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(cs), "little")
+        x *= (int.from_bytes(data, "little") ^ bias) - bias
+        n += (len(cs) - 1) * k
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    data = ((x ** k + bias) ^ bias).to_bytes(n * width, "little")
+    if fmt:
+        return list(struct.unpack(f"<{n}{fmt}", data))
+    return [int.from_bytes(data[i:i + width], "little", signed=True)
+            for i in range(0, n * width, width)]
 
 
 def _coerce(value: object) -> Polynomial | None:

@@ -7,8 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padic_trunk import ParseError, Polynomial, X, parse, poly_to_str
-from padic_trunk import parser
-from padic_trunk.parser import MAX_COST, MAX_DIGITS, _evaluate_at, _parse_residues
+from padic_trunk import parser, polynomial
+from padic_trunk.parser import MAX_COST, MAX_DIGITS, _parse_residues
+
+
+def _evaluate_at(text, x):
+    """The value of text at the integer x, running its compiled program over
+    ints, so nothing is expanded (for cross-checks)."""
+    stack = []
+    for op, arg, _ in parser._compile(text, "X"):
+        if op == "int":
+            stack.append(arg)
+        elif op == "x":
+            stack.append(x)
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op == "^":
+            stack.append(stack.pop() ** arg)
+        else:
+            b, a = stack.pop(), stack.pop()
+            stack.append(a + b if op == "+" else a - b if op == "-" else a * b)
+    return stack.pop()
 
 
 def test_product_expansion():
@@ -81,6 +100,54 @@ def test_errors_carry_positions(text, fragment):
     assert "position" in str(info.value)
 
 
+#: Each refusal's message and position, as the parser gave them before it
+#: compiled texts to a program; the residue parse refuses them alike.
+PINNED_ERRORS = [
+    pytest.param("(" * 101 + "X", "parentheses nested deeper than 100", 100, id="nesting-101"),
+    pytest.param("X-" + "1" * 4301, "integer literal exceeds the limit of 4300 digits", 2,
+                 id="4301-digit-literal"),
+    ("²X", "unexpected character '²'", 0),
+    ("X^ 1.5", "unexpected character '.'", 4),
+    (")(", "unexpected token ')'", 0),
+    ("2X^", "exponent must be an integer literal", 3),
+    ("１２Ｘ", "unknown identifier 'Ｘ'", 2),
+    ("X^１.５", "unexpected character '.'", 3),
+    ("X^２０００１", "exponent exceeds bound 10000", 2),
+    ("٣X+Y", "unknown identifier 'Y'", 3),
+    ("X^٢٠٠٠١", "exponent exceeds bound 10000", 2),
+    ("٣.٥X", "unexpected character '.'", 1),
+    ("X^-1", "negative exponent not allowed", 3),
+    ("X^10001", "exponent exceeds bound 10000", 2),
+    ("", "unexpected end of input", 0),
+    ("X+", "unexpected end of input", 2),
+    ("(X+1", "unbalanced parenthesis", 4),
+    ("X+1)", "unbalanced parenthesis", 3),
+    # MAX_COST: a power, a product of powers, a sum of powers, a power of a
+    # constant, a chain whose later powers the estimate skips, and a power
+    # whose degree bound 5001 is far above its degree 1
+    ("(X+1)^3000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    ("(X+1)^2000 * (X+1)^2000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    ("(X^2+1)^5000 - (X^9)^9^9", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    ("2^9999^9999^9999", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    pytest.param("X" + "^9999" * 5000, f"estimated expansion cost exceeds bound {MAX_COST}", 0,
+                 id="power-chain"),
+    ("X^3*(X^5001-X^5001+3*X)^5000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    # the expanded power's degree past MAX_EXPONENT, at its "^"
+    ("(X^2)^5001", "expanded power degree exceeds bound 10000", 5),
+    ("(X^200)^200", "expanded power degree exceeds bound 10000", 7),
+    ("(X^5000*X^2)^2", "expanded power degree exceeds bound 10000", 12),
+]
+
+
+@pytest.mark.parametrize("text,message,position", PINNED_ERRORS)
+def test_errors_are_pinned(text, message, position):
+    for refuse in (parse, lambda text: _parse_residues(text, 9)):
+        with pytest.raises(ParseError) as info:
+            refuse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
 def test_error_position_points_at_offender():
     with pytest.raises(ParseError) as info:
         parse("X + Y")
@@ -92,19 +159,19 @@ def test_power_expansion_guard():
         parse("(X^200)^200")
 
 
+def _refuse_evaluation(program, m=0):
+    raise AssertionError("the program was evaluated")
+
+
 def test_whole_text_is_checked_before_any_power_is_expanded(monkeypatch):
-    def refuse(self, exponent):
-        raise AssertionError("a power was expanded")
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(parser, "_evaluate", _refuse_evaluation)
     with pytest.raises(ParseError, match="unbalanced parenthesis") as info:
         parse("(X+1)^10000)")
     assert info.value.position == 11
 
 
 def test_an_expansion_past_the_cost_bound_is_refused_before_it_starts(monkeypatch):
-    def refuse(self, exponent):
-        raise AssertionError("a power was expanded")
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(parser, "_evaluate", _refuse_evaluation)
     # every power is within MAX_EXPONENT, yet expanding (X^2+1)^5000 takes minutes;
     # "^" folds left, so each link of a chain multiplies the degree or the bits by 9999
     chains = [base + "^9999" * 5000 for base in ("X", "2", "(X+1)")]
@@ -127,9 +194,9 @@ def test_expansions_within_the_cost_bound_go_ahead(text, monkeypatch):
     class Expanded(Exception):
         pass
 
-    def expanded(base, exp, at):
+    def expanded(program, m=0):
         raise Expanded
-    monkeypatch.setattr(parser, "_polynomial_power", expanded)
+    monkeypatch.setattr(parser, "_evaluate", expanded)
     with pytest.raises(Expanded):
         parse(text)
 
@@ -204,47 +271,133 @@ def test_longer_literals_are_a_parse_error(lift):
 # the residue walk that solve --prime/--exp parses with
 # ----------------------------------------------------------------------
 
+def _times(*factors):
+    """The product of Polynomials, term by term (1 for none)."""
+    out = [1]
+    for P in factors:
+        cs = [0] * (len(out) + len(P.coeffs) - 1) if P else []
+        for i, a in enumerate(out):
+            for j, b in enumerate(P.coeffs):
+                cs[i + j] += a * b
+        out = cs
+    return Polynomial(out)
+
+
 @st.composite
 def texts(draw, depth=0):
-    """A text of the grammar: literals up to 40 digits, content p**j, runs of
-    unary minus, sums, products by "*", by a space or by parentheses,
-    nesting and powers; each power's degree stays far below MAX_EXPONENT."""
+    """A text of the grammar and its value, built apart from the parser and
+    from the packed product it shares with Polynomial.__mul__: Polynomial
+    sums and _times's term-by-term products.  Literals up to 40 digits,
+    content p**j, runs of unary minus, sums, products by "*", by a space or
+    by parentheses, nesting and powers; each power's degree stays far below
+    MAX_EXPONENT.
+
+    The value is given as the text's top-level terms, whose sum it is: a
+    neighbouring "*" or adjacency multiplies only the term at that edge, and
+    a space before a part that starts with a minus makes a binary minus."""
     kind = draw(st.integers(0, 5 if depth < 3 else 1))
     if kind == 0:
-        text = str(draw(st.one_of(st.integers(0, 30), st.integers(0, 10**40))))
+        n = draw(st.one_of(st.integers(0, 30), st.integers(0, 10**40)))
+        text, terms = str(n), [Polynomial([n])]
     elif kind == 1:
         text = draw(st.sampled_from(["X", "x", "−X"]))
+        terms = [-X if text == "−X" else X]
     elif kind == 2:
-        text = "(" + draw(texts(depth + 1)) + ")"
+        inner, inner_terms = draw(texts(depth + 1))
+        text, terms = "(" + inner + ")", [sum(inner_terms)]
     elif kind == 3:
-        text = "(" + draw(texts(depth + 1)) + ")^" + str(draw(st.integers(0, 4)))
+        inner, inner_terms = draw(texts(depth + 1))
+        exponent = draw(st.integers(0, 4))
+        text, terms = "(" + inner + ")^" + str(exponent), [_times(*[sum(inner_terms)] * exponent)]
     elif kind == 4:
-        first, *rest = draw(st.lists(texts(depth + 1), min_size=2, max_size=3))
-        text = "(" + first + "".join(draw(st.sampled_from(["+", " - ", "-"])) + q for q in rest) + ")"
+        (text, terms), *rest = draw(st.lists(texts(depth + 1), min_size=2, max_size=3))
+        for part, part_terms in rest:
+            sign = draw(st.sampled_from(["+", " - ", "-"]))
+            # a binary minus negates the first term of what follows it
+            first = part_terms[0] if sign == "+" else -part_terms[0]
+            text, terms = text + sign + part, terms + [first] + part_terms[1:]
+        text, terms = "(" + text + ")", [sum(terms)]
     else:
         parts = draw(st.lists(texts(depth + 1), min_size=2, max_size=3))
-        text = draw(st.sampled_from(["*", " ", ")("])).join(parts)
-        text = "(" + text + ")" if ")(" in text else text
-    return "-" * draw(st.integers(0, 2)) + text
+        joint = draw(st.sampled_from(["*", " ", ")("]))
+        text = joint.join(part for part, _ in parts)
+        terms = parts[0][1]
+        for part, part_terms in parts[1:]:
+            if joint == ")(":
+                terms = [_times(sum(terms), sum(part_terms))]
+            elif joint == " " and part[0] in "-−":
+                terms = terms + part_terms
+            else:
+                terms = terms[:-1] + [_times(terms[-1], part_terms[0])] + part_terms[1:]
+        if ")(" in text:
+            text, terms = "(" + text + ")", [sum(terms)]
+    signs = draw(st.integers(0, 2))
+    if signs % 2:
+        terms = [-terms[0]] + terms[1:]
+    return "-" * signs + text, terms
+
+
+def _residues(P, m):
+    """P modulo m as _parse_residues returns it: its residues in
+    [-(m//2), m - m//2), except that a P = 0 mod m other than 0 stands as
+    the constant m."""
+    R = Polynomial([(c + m // 2) % m - m // 2 for c in P.coeffs])
+    return Polynomial([m]) if R.is_zero and not P.is_zero else R
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(text=texts(), p=st.sampled_from([2, 3, 5, 13, 101]), e=st.integers(1, 40),
        content=st.integers(0, 3))
 def test_residue_parse_is_parse_modulo_m(text, p, e, content):
-    text = f"{p}^{content}*({text})" if content else text
+    text, terms = text
+    P = sum(terms)
+    if content:
+        text, P = f"{p}^{content}*({text})", _times(Polynomial([p**content]), P)
     m = p**e
-    P, R = parse(text), _parse_residues(text, m)
-    assert all(c % m == 0 for c in (P - R).coeffs)
-    if P.is_zero:
-        assert R.is_zero
-    elif all(c % m == 0 for c in P.coeffs):
-        # P = 0 mod m, and not 0: the constant m stands for it
-        assert R == Polynomial([m])
-    else:
-        assert all(-(m // 2) <= c < m - m // 2 for c in R.coeffs)
-        if all(2 * abs(c) < m for c in P.coeffs):
-            assert R == P
+    assert parse(text) == P
+    assert _parse_residues(text, m) == _residues(P, m)
+
+
+@pytest.mark.parametrize("text", [
+    "(X+1)^2000",
+    "(X-19)^83*(X-30)^83*(X^2+5*X+23)^28*(X^3-7*X^2-13*X-16)^19",
+    "(2*X^3-X+7)^600*(X^2+1)^50 - 3*X^1950",
+    "(" + "+".join(f"{i}*X^{i}" for i in range(1, 60)) + ")^30",
+    # 15 * c^2 fills all but the sign bit of the slots bounded for it
+    *[f"({'+'.join(f'{c}*X^{i}' for i in range(15))})*({'+'.join(f'-{c}*X^{i}' for i in range(15))})"
+      for c in (3, 2**30 - 1)],
+])
+def test_packed_powers_and_products_agree_with_evaluation(text):
+    # slots past 8 bytes, and residue powers both by one packed ** and by squaring
+    P = parse(text)
+    for x in (-3, 2, 10**20 + 1):
+        assert P.evaluate(x) == _evaluate_at(text, x)
+    for m in (2, 9, 25, 3**8, 2**61, 10**30):
+        assert _parse_residues(text, m) == _residues(P, m)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(2^10000^100+X^5000)*(X+1)", [2**10**6] * 2 + [0] * 4998 + [1, 1]),
+    ("(3^10000^10^10*X^2000+1)*(X^2+X+1)", [1] * 3 + [0] * 1997 + [3**10**6] * 3),
+    ("(2^10000^100+X^5000)^1", [2**10**6] + [0] * 4999 + [1]),
+    # 110 pairs of nonzero terms, past the 64 that always go term by term,
+    # and a dense factor whose own slots would not waste much
+    ("(2^8000+X+X^2+X^3+X^4+X^5+X^6+X^7+X^8+X^9+X^3000)*(2^8000*(1+X+X^2+X^3+X^4+X^5+X^6+X^7+X^8+X^9))",
+     _times(Polynomial([2**8000] + [1] * 9 + [0] * 2990 + [1]), Polynomial([2**8000] * 10)).coeffs),
+])
+def test_sparse_factors_with_a_wide_coefficient_are_not_packed(text, value, monkeypatch):
+    # slots as wide as the widest coefficient across every degree would
+    # take 6 MB to over 600 MB here, where the lists take under 1 MB
+    packed = polynomial._packed
+
+    def narrow(factors, k, bits):
+        assert sum(map(len, factors)) * bits < 2**24
+        return packed(factors, k, bits)
+    monkeypatch.setattr(polynomial, "_packed", narrow)
+    P = Polynomial(value)
+    assert parse(text) == P
+    for m in (9, 2**61, 10**30):
+        assert _parse_residues(text, m) == _residues(P, m)
 
 
 @pytest.mark.parametrize("text", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from padic_trunk import (
     Polynomial, QuadraticClass, X, build_trunk, classify_quadratic, parse, poly_to_str, val_p)
-from padic_trunk.polynomial import _taylor_shift
+from padic_trunk.polynomial import _mul_coeffs, _pow_coeffs, _reduce_coeffs, _taylor_shift
 
 
 EX1 = parse("(X^2+3)*(X^2+3*X+9)")
@@ -52,6 +52,45 @@ def test_a_power_squares_only_up_to_the_top_bit_of_its_exponent(monkeypatch):
         assert (X + 2) ** n == Polynomial([math.comb(n, i) * 2 ** (n - i) for i in range(n + 1)])
         # one squaring per bit below the top one, one product per set bit
         assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _coefficient_lists(rng, m):
+    """Lists without trailing zeros, of every shape the product's paths
+    tell apart: dense or sparse, narrow, wide, or a few wide coefficients
+    among narrow ones; residues mod m if m."""
+    n = rng.choice([1, 2, 5, 30, 120])
+    bits = rng.choice([1, 7, 40, 70, 300])
+    cs = [rng.randint(-2**bits, 2**bits) if rng.random() < rng.choice([0.1, 1]) else 0
+          for _ in range(n)]
+    for _ in range(rng.randint(0, 2)):
+        cs[rng.randrange(n)] = rng.choice([-1, 1]) * 2 ** rng.randint(100, 1000)
+    cs[-1] = cs[-1] or 1
+    return _reduce_coeffs(cs, m) if m else cs
+
+
+@pytest.mark.parametrize("m", [0, 2, 9, 3**8, 2**61, 10**30])
+def test_coefficient_products_and_powers_agree_with_schoolbook(m):
+    rng = random.Random(m)
+    for _ in range(150):
+        a, b = _coefficient_lists(rng, m), _coefficient_lists(rng, m)
+        if not (a and b):
+            continue
+        assert _reduce_coeffs(_mul_coeffs(a, b, m), m) == _reduce_coeffs(_schoolbook(a, b), m)
+        if not m:
+            assert (Polynomial(a) * Polynomial(b)).coeffs == tuple(_reduce_coeffs(_schoolbook(a, b), 0))
+        k = rng.randint(0, 4)
+        expected = [1]
+        for _ in range(k):
+            expected = _schoolbook(expected, a)
+        assert _reduce_coeffs(_pow_coeffs(a, k, m), m) == _reduce_coeffs(expected, m)
 
 
 def test_shift_scale_examples():
