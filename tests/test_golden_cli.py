@@ -31,7 +31,15 @@ before `solve --prime/--exp` began to parse modulo p^e and to shift only
 the Taylor coefficients its levels read: a high-degree product like
 session's, `(X^2-17)^2` at 13^400 (its power certificate on residues),
 negative coefficients, `9*X^2+9`, which is 0 mod 3^2, and the errors
-of `X-X` and of two powers refused by cost and by degree.
+of `X-X` and of two powers refused by cost and by degree.  Twelve cases
+were added before the commands came to build one payload each and render
+their text from it, and `--modulus` to parse modulo n: `--balls` with
+`--count-only` at 3^7 and at 360, in text and JSON (`*-balls-count-*`);
+the text count of `X^3-X` mod 360; `3^10000^10^10*X` mod 18, whose
+content is 0 mod 18; `classify` of a double root (K_inf, "infinite") and
+of a quadratic without roots (K_0) at 3, in text and JSON; an open
+`poincare` whose horizon 50 is clipped to the coefficients available;
+and a JSON trunk with content.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -150,6 +158,27 @@ COMMANDS = {
     "error-power-degree": ["solve", "--poly", "(X^2)^5001", "--prime", "3", "--exp", "2"],
     "error-with-fans": ["trunk", "--poly", "X", "--prime", "3", "--max-level", "2",
                         "--with-fans", "2"],
+    "solve-balls-count-text": ["solve", "--poly", "X^2", "--prime", "3", "--exp", "7",
+                               "--balls", "--count-only"],
+    "solve-balls-count-json": ["solve", "--poly", "X^2", "--prime", "3", "--exp", "7",
+                               "--balls", "--count-only", "--format", "json"],
+    "solve-modulus-360-count-text": ["solve", "--poly", "X^3-X", "--modulus", "360",
+                                     "--count-only"],
+    "solve-modulus-360-balls-count-text": ["solve", "--poly", "X^2-1", "--modulus", "360",
+                                           "--balls", "--count-only"],
+    "solve-modulus-360-balls-count-json": ["solve", "--poly", "X^2-1", "--modulus", "360",
+                                           "--balls", "--count-only", "--format", "json"],
+    "solve-modulus-large-content": ["solve", "--poly", "3^10000^10^10*X", "--modulus", "18",
+                                    "--count-only"],
+    "classify-infinite-text": ["classify", "--poly", "2*X^2-4*X+2", "--prime", "3"],
+    "classify-infinite-json": ["classify", "--poly", "2*X^2-4*X+2", "--prime", "3",
+                               "--format", "json"],
+    "classify-k0-text": ["classify", "--poly", "X^2+1", "--prime", "3"],
+    "classify-k0-json": ["classify", "--poly", "X^2+1", "--prime", "3", "--format", "json"],
+    "poincare-open-horizon-clipped": ["poincare", "--poly", OPEN, "--prime", "13",
+                                      "--max-level", "3", "--horizon", "50"],
+    "trunk-json-content": ["trunk", "--poly", "9*X^2", "--prime", "3", "--max-level", "3",
+                           "--format", "json"],
 }
 
 
