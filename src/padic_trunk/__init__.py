@@ -13,7 +13,6 @@ from .analysis import (
     RationalSeries,
     classify_quadratic,
     poincare_series,
-    quadratic_class_from_trunk,
 )
 from .parser import ParseError, parse
 from .polynomial import Polynomial, X, poly_to_str, val_p
@@ -73,7 +72,6 @@ __all__ = [
     "parse",
     "poincare_series",
     "poly_to_str",
-    "quadratic_class_from_trunk",
     "residual_degree",
     "thickness",
     "val_p",

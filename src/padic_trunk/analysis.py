@@ -19,15 +19,8 @@ from fractions import Fraction
 
 from .polynomial import Polynomial
 from .primes import _strip, is_prime
-from .solver import InsufficientDepthError, _level_counts
-from .trunk import (
-    CERTIFIED,
-    STATUS_HENSEL,
-    STATUS_LEAF,
-    STATUS_POWER,
-    STATUS_UNDETERMINED,
-    Trunk,
-)
+from .solver import _level_counts
+from .trunk import CERTIFIED, Trunk
 
 K0 = "K0"
 K1 = "K1"
@@ -165,33 +158,3 @@ def classify_quadratic(P: Polynomial, p: int) -> QuadraticClass:
     if pow(unit, (p - 1) // 2, p) == 1:
         return QuadraticClass(K2, stem)
     return QuadraticClass(K0, stem)
-
-
-def quadratic_class_from_trunk(trunk: Trunk) -> QuadraticClass:
-    """Read the classification off a built trunk, shape by shape.
-
-    Independent of the discriminant formula; used to cross-check it.
-    Kinf is the power certificate of a discriminant-0 quadratic.  A finite
-    shape needs base length + 1 levels; on a stem still open at the built
-    depth this raises InsufficientDepthError.
-    """
-    node = trunk.root
-    stem = 0
-    while True:
-        if node.status == STATUS_POWER:
-            return QuadraticClass(KINF, None)
-        if node.status == STATUS_UNDETERMINED:
-            raise InsufficientDepthError(f"insufficient depth: the stem is still open at level"
-                                         f" {node.k}; rebuild with max_level > {trunk.built_depth}")
-        if node.status == STATUS_LEAF:
-            return QuadraticClass(K0, stem)
-        kids = node.children
-        if len(kids) == 1 and kids[0].t == 2:
-            stem += 1
-            node = kids[0]
-            continue
-        if len(kids) == 1 and kids[0].t == 1 and kids[0].status == STATUS_LEAF:
-            return QuadraticClass(K1, stem)
-        if len(kids) == 2 and all(k.t == 1 and k.status == STATUS_HENSEL for k in kids):
-            return QuadraticClass(K2, stem)
-        raise ValueError("unexpected trunk shape for a quadratic")

@@ -1,19 +1,22 @@
 """Command-line interface: trunk, solve, classify, poincare.
 
+Each command computes one payload dict; JSON output writes it, and text
+output is rendered from it (the trunk's tree and dot drawing are read off
+the trunk).  `solve` parses P modulo its modulus, p**e or n, on which its
+answers depend, and refuses a bad modulus after the exact parse.
 Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
 values survive any JSON consumer.  One writer, `_write`, prints the
 bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
 with its ints as strings.  A listing reaches it, and the text output, as
 the solver's stream of sorted blocks of about 4096 ints, so no int list is
-held.  Each command computes its answer and renders its whole output, as
-a list of parts, before anything is printed, with CPython's limit on
-int-to-str digits lifted (the parser caps each literal at MAX_DIGITS
-instead); `main` writes the parts one by one, never joined, so a listing
-peaks at about one copy of the bytes printed.
-Diagnostics go to stderr with a nonzero exit code; no output is emitted
-on error paths.  `main` may be called repeatedly in one process: the
-argument parser is built once.
+held.  Each command renders its whole output, as a list of parts, before
+anything is printed, with CPython's limit on int-to-str digits lifted
+(the parser caps each literal at MAX_DIGITS instead); `main` writes the
+parts one by one, never joined, so a listing peaks at about one copy of
+the bytes printed.  Diagnostics go to stderr with a nonzero exit code; no
+output is emitted on error paths.  `main` may be called repeatedly in one
+process: the argument parser is built once.
 """
 
 from __future__ import annotations
@@ -92,14 +95,6 @@ def _json(command: str, inputs: dict, payload: dict) -> list[str]:
     return parts
 
 
-def _text(lines: list[str], blocks: Iterable[list[int]] | None) -> list[str]:
-    """The lines, then a last line "solutions: ..." with the blocks' ints, if any."""
-    parts = ["\n".join(lines)]
-    if blocks is not None:
-        parts += ["\nsolutions: ", *_int_blocks(blocks, "%d", " ")]
-    return parts
-
-
 @contextlib.contextmanager
 def _all_digits():
     """Lift the int-to-str digit limit of CPython 3.11+ for the block."""
@@ -127,17 +122,13 @@ def _node_json(node: TrunkNode) -> dict:
     return entry
 
 
-# ----------------------------------------------------------------------
-# trunk rendering
-# ----------------------------------------------------------------------
-
-def _trunk_text(trunk: Trunk) -> str:
+def _trunk_text(payload: dict, trunk: Trunk) -> str:
     lines = [
-        f"polynomial: {poly_to_str(trunk.P0)}",
-        f"prime: {trunk.p}",
-        f"content exponent t0: {trunk.t0}",
-        f"reduced degree d_p: {trunk.d_p}",
-        f"built depth: {trunk.built_depth}",
+        f"polynomial: {payload['polynomial']}",
+        f"prime: {payload['p']}",
+        f"content exponent t0: {payload['t0']}",
+        f"reduced degree d_p: {payload['d_p']}",
+        f"built depth: {payload['built_depth']}",
         "(0,0)",
     ]
 
@@ -203,11 +194,8 @@ def _cmd_trunk(args: argparse.Namespace) -> list[str]:
     if args.with_fans is not None and args.with_fans < 0:
         raise ValueError("--with-fans must be non-negative")
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
-    if args.format == "text":
-        return [_trunk_text(trunk)]
     if args.format == "dot":
         return [_trunk_dot(trunk, args.with_fans)]
-    nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
     payload = {
         "polynomial": poly_to_str(trunk.P0),
         "p": trunk.p,
@@ -215,143 +203,123 @@ def _cmd_trunk(args: argparse.Namespace) -> list[str]:
         "d_p": trunk.d_p,
         "built_depth": trunk.built_depth,
         "tip_count": trunk.d_trunk,
-        "nodes": [_node_json(n) for n in nodes],
     }
+    if args.format == "text":
+        return [_trunk_text(payload, trunk)]
+    nodes = [trunk.root] + sorted(trunk.iter_nodes(), key=lambda n: (n.k, n.r))
+    payload["nodes"] = [_node_json(n) for n in nodes]
     return _json("trunk", {"poly": args.poly, "prime": args.prime,
                            "max_level": args.max_level}, payload)
 
 
-# ----------------------------------------------------------------------
-# solve
-# ----------------------------------------------------------------------
-
-def _balls_json(decomposition) -> list[dict]:
+def _balls(decomposition) -> list[dict]:
     p, e = decomposition.p, decomposition.e
     return [{"r": ball.r, "k": ball.k, "size": p ** (e - ball.k)}
             for ball in decomposition.balls]
 
 
-def _balls_text(decomposition) -> list[str]:
-    p, e = decomposition.p, decomposition.e
-    out = []
-    for ball in decomposition.balls:
-        size = p ** (e - ball.k)
-        noun = "solution" if size == 1 else "solutions"
-        out.append(f"  {ball.r} mod {p}^{ball.k}  ({size} {noun})")
-    return out
-
-
-def _solve_prime_power(args: argparse.Namespace) -> list[str]:
-    p, e = args.prime, args.exp
-    # the answer at e depends only on P modulo p**e, and levels past phi >= e
-    # never reach it; a bad p or e is refused as before, after the exact parse
-    P = _parse_residues(args.poly, p**e) if e >= 1 and is_prime(p) else parse(args.poly)
-    trunk = build_trunk(P, p, max(e, 1), levels_only=True)
-    decomposition = None if args.count_only and not args.balls else ball_decomposition(trunk, e)
-    count = count_solutions(trunk, e) if decomposition is None else decomposition.count
-    blocks = None if args.count_only or args.balls else _listing([decomposition])
-    if args.format == "text":
-        lines = [f"modulus: {p}^{e}", f"count: {count}"]
-        if args.balls:
-            lines += ["balls:", *_balls_text(decomposition)]
-        return _text(lines, blocks)
-    payload: dict = {"p": p, "e": e, "modulus": p ** e, "count": count}
-    if args.balls:
-        payload["balls"] = _balls_json(decomposition)
-    if blocks is not None:
-        payload["solutions"] = blocks
-    return _json("solve", {"poly": args.poly, "prime": p, "exp": e}, payload)
-
-
-def _solve_modulus(args: argparse.Namespace) -> list[str]:
-    result = crt_solve(parse(args.poly), args.modulus, count_only=True)
-    blocks = None if args.count_only else _listing([d for _, d in result.factors])
-    if args.format == "text":
-        factored = " * ".join(f"{pp.p}^{pp.e}" for pp, _ in result.factors)
-        lines = [f"modulus: {args.modulus} = {factored}", f"count: {result.count}"]
-        if args.balls:
-            for pp, decomposition in result.factors:
-                lines.append(f"factor {pp.p}^{pp.e}: count {decomposition.count}")
-                lines += _balls_text(decomposition)
-        return _text(lines, None if args.balls else blocks)
-    payload = {"n": args.modulus, "count": result.count, "factors": [
-        {"p": pp.p, "e": pp.e, "count": decomposition.count,
-         "balls": _balls_json(decomposition)}
-        for pp, decomposition in result.factors]}
-    if blocks is not None:
-        payload["solutions"] = blocks
-    return _json("solve", {"poly": args.poly, "modulus": args.modulus}, payload)
+def _solve_text(payload: dict, balls: bool) -> list[str]:
+    """The text of a solve payload; with balls, its balls replace the listing."""
+    if "n" in payload:
+        factors = payload["factors"]
+        factored = " * ".join(f"{f['p']}^{f['e']}" for f in factors)
+        lines = [f"modulus: {payload['n']} = {factored}"]
+        sections = [(f"factor {f['p']}^{f['e']}: count {f['count']}", f) for f in factors]
+    else:
+        lines = [f"modulus: {payload['p']}^{payload['e']}"]
+        sections = [("balls:", payload)]
+    lines.append(f"count: {payload['count']}")
+    for header, section in sections if balls else []:
+        lines.append(header)
+        for ball in section["balls"]:
+            size = ball["size"]
+            noun = "solution" if size == 1 else "solutions"
+            lines.append(f"  {ball['r']} mod {section['p']}^{ball['k']}  ({size} {noun})")
+    parts = ["\n".join(lines)]
+    if "solutions" in payload and not balls:
+        parts += ["\nsolutions: ", *_int_blocks(payload["solutions"], "%d", " ")]
+    return parts
 
 
 def _cmd_solve(args: argparse.Namespace) -> list[str]:
-    if args.modulus is not None:
-        if args.prime is not None or args.exp is not None:
+    n, p, e = args.modulus, args.prime, args.exp
+    if n is not None:
+        if p is not None or e is not None:
             raise ValueError("--modulus excludes --prime/--exp")
-        return _solve_modulus(args)
-    if args.prime is None or args.exp is None:
+        m = n
+    elif p is None or e is None:
         raise ValueError("provide either --modulus or both --prime and --exp")
-    return _solve_prime_power(args)
+    else:
+        m = p**e if e >= 1 and is_prime(p) else 0
+    # the answer modulo m depends only on P modulo m, and a prime power's
+    # levels past phi >= e never reach it; a bad modulus, prime or e is
+    # refused as before, after the exact parse
+    P = _parse_residues(args.poly, m) if m >= 2 else parse(args.poly)
+    if n is not None:
+        result = crt_solve(P, n, count_only=True)
+        decompositions = [decomposition for _, decomposition in result.factors]
+        inputs = {"poly": args.poly, "modulus": n}
+        payload: dict = {"n": n, "count": result.count, "factors": [
+            {"p": d.p, "e": d.e, "count": d.count, "balls": _balls(d)}
+            for d in decompositions]}
+        if not args.count_only:
+            payload["solutions"] = _listing(decompositions)
+    else:
+        trunk = build_trunk(P, p, max(e, 1), levels_only=True)
+        decomposition = None if args.count_only and not args.balls \
+            else ball_decomposition(trunk, e)
+        count = count_solutions(trunk, e) if decomposition is None else decomposition.count
+        inputs = {"poly": args.poly, "prime": p, "exp": e}
+        payload = {"p": p, "e": e, "modulus": p**e, "count": count}
+        if args.balls:
+            payload["balls"] = _balls(decomposition)
+        if not args.count_only and not args.balls:
+            payload["solutions"] = _listing([decomposition])
+    if args.format == "json":
+        return _json("solve", inputs, payload)
+    return _solve_text(payload, args.balls)
 
-
-# ----------------------------------------------------------------------
-# classify
-# ----------------------------------------------------------------------
 
 def _cmd_classify(args: argparse.Namespace) -> list[str]:
     result = classify_quadratic(parse(args.poly), args.prime)
     base = "infinite" if result.base_length is None else str(result.base_length)
-    if args.format == "text":
-        return [f"kind: {result.kind}\nbase stem length: {base}"]
-    return _json("classify", {"poly": args.poly, "prime": args.prime},
-                 {"kind": result.kind, "base_length": base})
+    payload = {"kind": result.kind, "base_length": base}
+    if args.format == "json":
+        return _json("classify", {"poly": args.poly, "prime": args.prime}, payload)
+    return [f"kind: {payload['kind']}\nbase stem length: {payload['base_length']}"]
 
-
-# ----------------------------------------------------------------------
-# poincare
-# ----------------------------------------------------------------------
 
 def _cmd_poincare(args: argparse.Namespace) -> list[str]:
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
-        horizon = args.horizon if args.horizon is not None \
-            else max(10, trunk.built_depth)
+        horizon = max(10, trunk.built_depth) if args.horizon is None else args.horizon
     else:
         available = len(series.numerator) - 1
-        horizon = available if args.horizon is None \
-            else min(args.horizon, available)
+        horizon = available if args.horizon is None else min(args.horizon, available)
     coeffs = series.expand(horizon)
-    counts = [c * args.prime**e for e, c in enumerate(coeffs)]
-    if series.certified:
-        # series in u list their terms in ascending powers
-        numerator = _render_terms(enumerate(series.numerator), "u")
-        denominator = _render_terms(enumerate(series.denominator), "u")
-    if args.format == "text":
-        return ["\n".join([
-            f"certified: {'true' if series.certified else 'false'}",
-            f"S(u) = ({numerator}) / ({denominator})" if series.certified
-            else "closed form not certified; partial coefficients only",
-            f"coefficients N_e/p^e (e = 0..{horizon}): "
-            + ", ".join(str(c) for c in coeffs),
-            f"counts N_e (e = 0..{horizon}): " + ", ".join(str(c) for c in counts)])]
     payload: dict = {
         "certified": series.certified,
         "horizon": horizon,
         "coefficients": [str(c) for c in coeffs],
-        "counts": [str(c) for c in counts],
+        "counts": [str(c * args.prime**e) for e, c in enumerate(coeffs)],
     }
     if series.certified:
-        payload["numerator"] = numerator
-        payload["denominator"] = denominator
+        # series in u list their terms in ascending powers
+        payload["numerator"] = _render_terms(enumerate(series.numerator), "u")
+        payload["denominator"] = _render_terms(enumerate(series.denominator), "u")
         payload["denominator_factors"] = [
             {"a": a, "b": b} for a, b in series.denominator_factors]
-    return _json("poincare", {"poly": args.poly, "prime": args.prime,
-                              "max_level": args.max_level}, payload)
+    if args.format == "json":
+        return _json("poincare", {"poly": args.poly, "prime": args.prime,
+                                  "max_level": args.max_level}, payload)
+    return ["\n".join([
+        f"certified: {'true' if series.certified else 'false'}",
+        f"S(u) = ({payload['numerator']}) / ({payload['denominator']})" if series.certified
+        else "closed form not certified; partial coefficients only",
+        f"coefficients N_e/p^e (e = 0..{horizon}): " + ", ".join(payload["coefficients"]),
+        f"counts N_e (e = 0..{horizon}): " + ", ".join(payload["counts"])])]
 
-
-# ----------------------------------------------------------------------
-# argument parsing and dispatch
-# ----------------------------------------------------------------------
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -359,43 +327,39 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Solve polynomial congruences modulo prime powers"
                     " through compact trunk representations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--poly", required=True,
+                      help="polynomial expression, e.g. \"(X^2+3)*(X^2+3*X+9)\"")
 
-    trunk_p = sub.add_parser("trunk", help="build and display a trunk")
-    trunk_p.add_argument("--poly", required=True, help="polynomial expression, e.g. \"(X^2+3)*(X^2+3*X+9)\"")
-    trunk_p.add_argument("--prime", required=True, type=int)
+    def command(name, handler, help, formats=("text", "json"), prime_required=True):
+        """The subcommand with --poly, --prime, --format and its handler."""
+        command_p = sub.add_parser(name, help=help, parents=[poly])
+        command_p.add_argument("--prime", required=prime_required, type=int)
+        command_p.add_argument("--format", choices=formats, default="text")
+        command_p.set_defaults(handler=handler)
+        return command_p
+
+    trunk_p = command("trunk", _cmd_trunk, "build and display a trunk",
+                      formats=("text", "json", "dot"))
     trunk_p.add_argument("--max-level", required=True, type=int)
-    trunk_p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     trunk_p.add_argument("--with-fans", type=int, metavar="E", default=None,
                          help="in dot output, also draw the solution tree up to level E")
-    trunk_p.set_defaults(handler=_cmd_trunk)
 
-    solve_p = sub.add_parser("solve", help="membership, count and enumeration")
-    solve_p.add_argument("--poly", required=True)
-    solve_p.add_argument("--prime", type=int)
+    solve_p = command("solve", _cmd_solve, "membership, count and enumeration",
+                      prime_required=False)
     solve_p.add_argument("--exp", type=int)
     solve_p.add_argument("--modulus", type=int,
                          help="composite modulus (factored and recombined)")
     solve_p.add_argument("--count-only", action="store_true")
     solve_p.add_argument("--balls", action="store_true",
                          help="show the disjoint-ball decomposition instead of the list")
-    solve_p.add_argument("--format", choices=("text", "json"), default="text")
-    solve_p.set_defaults(handler=_cmd_solve)
 
-    classify_p = sub.add_parser("classify", help="degree-two trunk classification")
-    classify_p.add_argument("--poly", required=True)
-    classify_p.add_argument("--prime", required=True, type=int)
-    classify_p.add_argument("--format", choices=("text", "json"), default="text")
-    classify_p.set_defaults(handler=_cmd_classify)
+    command("classify", _cmd_classify, "degree-two trunk classification")
 
-    poincare_p = sub.add_parser("poincare", help="generating function of the counts")
-    poincare_p.add_argument("--poly", required=True)
-    poincare_p.add_argument("--prime", required=True, type=int)
+    poincare_p = command("poincare", _cmd_poincare, "generating function of the counts")
     poincare_p.add_argument("--horizon", type=int, default=None,
                             help="number of expansion coefficients to report")
     poincare_p.add_argument("--max-level", type=int, default=16)
-    poincare_p.add_argument("--format", choices=("text", "json"), default="text")
-    poincare_p.set_defaults(handler=_cmd_poincare)
-
     return parser
 
 

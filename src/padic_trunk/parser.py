@@ -181,9 +181,9 @@ def _check_cost(program: list[tuple[str, object, int]]) -> bool:
     exponent passes MAX_EXPONENT, the only case where evaluating may refuse it.
     A value is bounded by its degree d and log2 l of its absolute coefficient
     sum, which is submultiplicative; a product costs (d1 + 1) * (d2 + 1) *
-    (l1 // 30 + 1) * (l2 // 30 + 1), and a power the products that
-    polynomial._power's square-and-multiply makes, replayed below so that
-    refusals stay put although evaluation raises by one packed int **."""
+    (l1 // 30 + 1) * (l2 // 30 + 1), and a power those of square-and-multiply,
+    replayed below as a cost model only: refusals stay put, although no code
+    multiplies in that order (polynomial._pow_coeffs packs, or squares halves)."""
     stack: list[tuple[int, float]] = []
     spent = 0.0
     wide = False

@@ -144,7 +144,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        return _power(self, n, Polynomial((1,)))
+        return Polynomial._of(_pow_coeffs(self.coeffs, n))
 
     def derivative(self) -> "Polynomial":
         return Polynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
@@ -373,14 +373,6 @@ def _roots_by_gcd(red: Polynomial, p: int) -> list[int]:
     return sorted(roots)
 
 
-def _power(base, n: int, one):
-    """base**n from one by squaring, multiplying in the bits of n from the lowest."""
-    for i in range(n.bit_length()):
-        base = base * base if i else base
-        one = one * base if n >> i & 1 else one
-    return one
-
-
 # Coefficient lists below are ascending without trailing zeros: exact, or
 # with m >= 2 residues in [-(m//2), m - m//2), whose products _reduce_coeffs
 # brings back into that range.
@@ -421,7 +413,7 @@ def _mul_coeffs(a, b, m: int = 0) -> list[int]:
             return _packed([a, b], 1, bits)
         widths = [list(map(int.bit_length, cs)) for cs in (a, b)]
         bits = max(widths[0]) + max(widths[1]) + len(a).bit_length()
-        if all(len(w) * bits <= 4 * sum(w) + 256 * len(w) for w in widths):
+        if all(_fits(w, bits) for w in widths):
             return _packed([a, b], 1, bits)
     out = [0] * (len(a) + len(b) - 1)
     terms = [(j, y) for j, y in enumerate(b) if y]
@@ -432,18 +424,30 @@ def _mul_coeffs(a, b, m: int = 0) -> list[int]:
     return out
 
 
-def _pow_coeffs(a: list[int], k: int, m: int = 0) -> list[int]:
+def _fits(widths: list[int], bits: int | float) -> bool:
+    """Whether coefficients of these bit lengths, packed in slots of bits,
+    make an int within four times their own bits plus a word per coefficient."""
+    return len(widths) * bits <= 4 * sum(widths) + 256 * len(widths)
+
+
+def _pow_coeffs(a, k: int, m: int = 0) -> list[int]:
     """a**k, exactly or modulo m.  A monomial raises its coefficient; else one
-    int ** raises the packed a, in slots wide enough for the exact power.
-    Modulo m, where those slots would be wider than both a machine word and
-    a product of residues, a**(k//2) is found so and reduced, then squared."""
+    int ** raises the packed a, in slots wide enough for the exact power,
+    unless they are too wide: exactly, where a fails _fits in them; modulo m,
+    past both a machine word and a product of residues.  Then a**(k//2) is
+    found so and reduced, and squared through _mul_coeffs."""
     if k < 2 or not a:
         return list(a) if k else [1]
     if len(a) - a.count(0) == 1:
         return [0] * ((len(a) - 1) * k) + [pow(a[-1], k, m) if m else a[-1] ** k]
     n = (len(a) - 1) * k + 1
-    total = sum(map(abs, a))
-    if m and k * math.log2(total) > max(63, 2 * m.bit_length() + n.bit_length()):
+    total = sum(map(abs, filter(None, a)))  # a zero would copy a wide sum
+    bits = k * math.log2(total)
+    if m:
+        wide = bits > max(63, 2 * m.bit_length() + n.bit_length())
+    else:
+        wide = not _fits(list(map(int.bit_length, a)), bits)
+    if wide:
         half = _reduce_coeffs(_pow_coeffs(a, k // 2, m), m)
         out = _mul_coeffs(half, half, m)
         return _mul_coeffs(_reduce_coeffs(out, m), a, m) if k & 1 else out

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-from padic_trunk import brute_force, enumerate_solutions
+from padic_trunk import InsufficientDepthError, QuadraticClass, brute_force, enumerate_solutions
+from padic_trunk.analysis import K0, K1, K2, KINF
 from padic_trunk.solver import ball_decomposition
-from padic_trunk.trunk import STATUS_EXPANDED, STATUS_HENSEL, STATUS_UNDETERMINED, Trunk
+from padic_trunk.trunk import (
+    STATUS_EXPANDED,
+    STATUS_HENSEL,
+    STATUS_LEAF,
+    STATUS_POWER,
+    STATUS_UNDETERMINED,
+    Trunk,
+)
 
 #: trunks that went through check_trunk, for suite-level accounting
 CHECKED = []
@@ -131,3 +139,33 @@ def check_trunk(trunk: Trunk, levels_only: bool = False) -> Trunk:
 
     CHECKED.append(trunk)
     return trunk
+
+
+def quadratic_class_from_trunk(trunk: Trunk) -> QuadraticClass:
+    """Read the classification off a built trunk, shape by shape.
+
+    Independent of the discriminant formula; used to cross-check it.
+    Kinf is the power certificate of a discriminant-0 quadratic.  A finite
+    shape needs base length + 1 levels; on a stem still open at the built
+    depth this raises InsufficientDepthError.
+    """
+    node = trunk.root
+    stem = 0
+    while True:
+        if node.status == STATUS_POWER:
+            return QuadraticClass(KINF, None)
+        if node.status == STATUS_UNDETERMINED:
+            raise InsufficientDepthError(f"insufficient depth: the stem is still open at level"
+                                         f" {node.k}; rebuild with max_level > {trunk.built_depth}")
+        if node.status == STATUS_LEAF:
+            return QuadraticClass(K0, stem)
+        kids = node.children
+        if len(kids) == 1 and kids[0].t == 2:
+            stem += 1
+            node = kids[0]
+            continue
+        if len(kids) == 1 and kids[0].t == 1 and kids[0].status == STATUS_LEAF:
+            return QuadraticClass(K1, stem)
+        if len(kids) == 2 and all(k.t == 1 and k.status == STATUS_HENSEL for k in kids):
+            return QuadraticClass(K2, stem)
+        raise ValueError("unexpected trunk shape for a quadratic")

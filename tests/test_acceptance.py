@@ -20,10 +20,9 @@ from padic_trunk import (
     hensel_lift,
     parse,
     poincare_series,
-    quadratic_class_from_trunk,
     thickness,
 )
-from invariants import check_trunk
+from invariants import check_trunk, quadratic_class_from_trunk
 from test_analysis import _random_quadratics
 from test_trunk import taylor_thickness
 

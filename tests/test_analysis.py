@@ -14,11 +14,10 @@ from padic_trunk import (
     count_solutions,
     parse,
     poincare_series,
-    quadratic_class_from_trunk,
 )
 from padic_trunk.trunk import STATUS_LEAF
 
-from invariants import check_trunk
+from invariants import check_trunk, quadratic_class_from_trunk
 
 
 # ----------------------------------------------------------------------

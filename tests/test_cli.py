@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -284,6 +285,70 @@ def test_solve_modulo_p_to_the_e_refuses_as_the_exact_parse_did(capsys, poly, pr
     # same order and words: the parse, then build_trunk, then the level
     assert run_cli(capsys, "solve", "--poly", poly, "--prime", prime, "--exp=" + exp) == \
         (1, "", f"error: {message}\n")
+
+
+#: each subcommand's options: (type, default, required, choices, action class),
+#: as the parser declared them one subcommand at a time
+OPTIONS = {
+    "trunk": {
+        ("-h", "--help"): (None, "==SUPPRESS==", False, None, "_HelpAction"),
+        ("--poly",): (None, None, True, None, "_StoreAction"),
+        ("--prime",): (int, None, True, None, "_StoreAction"),
+        ("--max-level",): (int, None, True, None, "_StoreAction"),
+        ("--format",): (None, "text", False, ("text", "json", "dot"), "_StoreAction"),
+        ("--with-fans",): (int, None, False, None, "_StoreAction"),
+    },
+    "solve": {
+        ("-h", "--help"): (None, "==SUPPRESS==", False, None, "_HelpAction"),
+        ("--poly",): (None, None, True, None, "_StoreAction"),
+        ("--prime",): (int, None, False, None, "_StoreAction"),
+        ("--exp",): (int, None, False, None, "_StoreAction"),
+        ("--modulus",): (int, None, False, None, "_StoreAction"),
+        ("--count-only",): (None, False, False, None, "_StoreTrueAction"),
+        ("--balls",): (None, False, False, None, "_StoreTrueAction"),
+        ("--format",): (None, "text", False, ("text", "json"), "_StoreAction"),
+    },
+    "classify": {
+        ("-h", "--help"): (None, "==SUPPRESS==", False, None, "_HelpAction"),
+        ("--poly",): (None, None, True, None, "_StoreAction"),
+        ("--prime",): (int, None, True, None, "_StoreAction"),
+        ("--format",): (None, "text", False, ("text", "json"), "_StoreAction"),
+    },
+    "poincare": {
+        ("-h", "--help"): (None, "==SUPPRESS==", False, None, "_HelpAction"),
+        ("--poly",): (None, None, True, None, "_StoreAction"),
+        ("--prime",): (int, None, True, None, "_StoreAction"),
+        ("--horizon",): (int, None, False, None, "_StoreAction"),
+        ("--max-level",): (int, 16, False, None, "_StoreAction"),
+        ("--format",): (None, "text", False, ("text", "json"), "_StoreAction"),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    parser = cli.build_arg_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(OPTIONS)
+    for name, subparser in sub.choices.items():
+        declared = {tuple(a.option_strings): (a.type, a.default, a.required, a.choices,
+                                              type(a).__name__)
+                    for a in subparser._actions}
+        assert declared == OPTIONS[name], name
+        assert subparser.get_default("handler") is getattr(cli, "_cmd_" + name)
+
+
+def test_solve_modulus_hands_the_solver_p_modulo_n(capsys, monkeypatch):
+    received = []
+    solve = cli.crt_solve
+    monkeypatch.setattr(cli, "crt_solve", lambda P, n, **kw: received.append(P) or solve(P, n, **kw))
+    code, out, err = run_cli(capsys, "solve", "--poly", "(10^40*X+7^30)^3*(X^2-10^25)",
+                             "--modulus", "360", "--count-only")
+    assert code == 0 and err == ""
+    [P] = received
+    exact = parse("(10^40*X+7^30)^3*(X^2-10^25)")
+    assert all(abs(c) <= 180 for c in P.coeffs)
+    assert all(c % 360 == 0 for c in (exact - P).coeffs)
+    assert out == f"modulus: 360 = 2^3 * 3^2 * 5^1\ncount: {solve(exact, 360).count}\n"
 
 
 def test_usage_errors_from_argparse(capsys):

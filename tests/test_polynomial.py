@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from padic_trunk import (
     Polynomial, QuadraticClass, X, build_trunk, classify_quadratic, parse, poly_to_str, val_p)
+from padic_trunk import polynomial
 from padic_trunk.polynomial import _mul_coeffs, _pow_coeffs, _reduce_coeffs, _taylor_shift
 
 
@@ -43,15 +44,21 @@ def test_zero_polynomial_has_no_degree_or_content():
         zero.shift_scale(0, 3)
 
 
-def test_a_power_squares_only_up_to_the_top_bit_of_its_exponent(monkeypatch):
-    products = []
-    mul = Polynomial.__mul__
-    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-    for n in range(34):
-        products.clear()
+def test_powers_of_a_binomial_have_binomial_coefficients():
+    # one packed int ** raises X + 2 up to n = 165; past it, slots as wide as the
+    # power would waste most of the packed base, and the half power is squared
+    for n in [*range(34), 300, 601]:
         assert (X + 2) ** n == Polynomial([math.comb(n, i) * 2 ** (n - i) for i in range(n + 1)])
-        # one squaring per bit below the top one, one product per set bit
-        assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+
+
+def test_a_sparse_power_with_a_wide_coefficient_is_squared_term_by_term(monkeypatch):
+    # packed, (2^(10^6) + X^5000)^2 would take 10,001 slots of 2 * 10^6 bits, 2.5 GB
+    a = Polynomial([2**10**6] + [0] * 4999 + [1])
+    square = a * a
+    monkeypatch.setattr(polynomial, "_packed", lambda *args: pytest.fail("packed"))
+    start = time.perf_counter()
+    assert a**2 == square
+    assert time.perf_counter() - start < 0.5
 
 
 def _schoolbook(a, b):
