@@ -39,7 +39,12 @@ the text count of `X^3-X` mod 360; `3^10000^10^10*X` mod 18, whose
 content is 0 mod 18; `classify` of a double root (K_inf, "infinite") and
 of a quadratic without roots (K_0) at 3, in text and JSON; an open
 `poincare` whose horizon 50 is clipped to the coefficients available;
-and a JSON trunk with content.
+and a JSON trunk with content.  Three cases were added before composite
+listings came to be built sorted, by rotating and merging CRT classes:
+`(X-1)*(X-2)*(X-3)` mod 1616615 = 5*7*11*13*17*19, six primes and 729
+solutions, in text and JSON, and `X^3*(X-1)^2` mod 415800 =
+2^3*3^3*5^2*7*11, whose 2880 solutions come from four groups of ball
+precisions.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -177,6 +182,10 @@ COMMANDS = {
     "classify-k0-json": ["classify", "--poly", "X^2+1", "--prime", "3", "--format", "json"],
     "poincare-open-horizon-clipped": ["poincare", "--poly", OPEN, "--prime", "13",
                                       "--max-level", "3", "--horizon", "50"],
+    "solve-modulus-1616615": ["solve", "--poly", "(X-1)*(X-2)*(X-3)", "--modulus", "1616615"],
+    "solve-modulus-1616615-json": ["solve", "--poly", "(X-1)*(X-2)*(X-3)", "--modulus",
+                                   "1616615", "--format", "json"],
+    "solve-modulus-415800": ["solve", "--poly", "X^3*(X-1)^2", "--modulus", "415800"],
     "trunk-json-content": ["trunk", "--poly", "9*X^2", "--prime", "3", "--max-level", "3",
                            "--format", "json"],
 }
