@@ -264,13 +264,15 @@ def _parse_residues(text: str, m: int) -> Polynomial:
     m/2 (so a P with smaller coefficients comes back as it is), refused where
     and as parse refuses the text.  The program runs exactly instead when a
     power's degree bound times its exponent passes MAX_EXPONENT, where parse
-    may refuse it, and when P = 0 mod m: P = 0 returns for the caller to
-    refuse, and any other such P as the constant m."""
+    may refuse it, and when P = 0 modulo m and 2**61 - 1: P = 0 returns for
+    the caller to refuse, and any other P = 0 mod m as the constant m."""
     program = _compile(text, "X")
     wide = _check_cost(program)
     if not wide:
         residues = _evaluate(program, m)
         if residues:
             return Polynomial._of(residues)
+        if _evaluate(program, 2**61 - 1):
+            return Polynomial((m,))
     exact = Polynomial._of(_evaluate(program))
     return exact if wide or exact.is_zero else Polynomial((m,))

@@ -20,9 +20,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, product
 from math import prod
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .polynomial import Polynomial
 from .primes import PrimePower, factorize
@@ -61,8 +61,8 @@ class SolutionBall:
 class SolutionSet:
     """Disjoint-ball description of the solutions modulo p**e.
 
-    count is the exact number of solutions in [0, p**e); each ball
-    contributes p**(e - k) of them.
+    count is the exact number of solutions in [0, p**e); each ball, in order
+    of (k, r), contributes p**(e - k) of them.
     """
 
     p: int
@@ -151,17 +151,42 @@ def _ball(p: int, node: TrunkNode, k: int) -> SolutionBall:
     return SolutionBall(node.r + y * p**node.k, k)
 
 
-def _class_blocks(groups: dict[int, list[int]], n: int) -> Iterator[list[int]]:
-    """The members in [0, n) of disjoint classes r mod M, r in groups[M] and M | n,
-    as sorted consecutive blocks of about _BLOCK, in O(count + blocks * groups)
-    time up to logarithms and O(block + classes) memory.
+def _crt_members(factors: Sequence[tuple[int, list[int]]]) -> list[int]:
+    """The sorted x in [0, n = prod m) with x mod m in S for each (m, S), the m
+    pairwise coprime and each S distinct mod m.  By increasing |S|, each factor
+    joins the sorted members U mod B of those before, which hold their residues
+    divided by n / B.  Divided by A = n / (m * B), the members a mod m are
+    m * ((u - a / m) mod B) + a: U rotated at a / m mod B.  One sort merges the
+    |S| ascending runs, in O(count * log |S|) comparisons."""
+    n = prod(m for m, _ in factors)
+    members, B = [0], 1
+    for m, S in sorted(factors, key=lambda f: len(f[1])):
+        over_A, w = pow(n // (m * B), -1, m), pow(m, -1, B)
+        scaled, members = [u * m for u in members], []
+        for a in (r * over_A % m for r in S):
+            c = a * w % B
+            i, low, high = bisect_left(scaled, c * m), a - c * m, a + (B - c) * m
+            members += [x + low for x in scaled[i:]]
+            members += [x + high for x in scaled[:i]]
+        members.sort()
+        B *= m
+    return members
 
-    A window of [0, n) expected to hold a block takes from each group one
-    range per representative when it spans more periods than there are
-    representatives, else each period's sorted representatives shifted by
-    j * M, cutting the first and last by bisection; one sort merges the groups.
+
+def _class_blocks(groups: dict[int, list[int]], n: int) -> Iterator[list[int]]:
+    """The members in [0, n) of disjoint classes r mod M, r in the sorted list
+    groups[M] and M | n, as sorted consecutive blocks of about _BLOCK, in
+    O(count + blocks * groups) time up to logarithms and O(block + classes) memory.
+
+    One group mod n is cut into blocks.  Otherwise a window of [0, n) expected
+    to hold a block takes from each group one range per representative when it
+    spans more periods than there are representatives, else each period's
+    representatives shifted by j * M, cutting the first and last by bisection;
+    one sort merges the groups.
     """
-    groups = {M: sorted(rs) for M, rs in groups.items()}
+    if list(groups) == [n]:
+        yield from (groups[n][i:i + _BLOCK] for i in range(0, len(groups[n]), _BLOCK))
+        return
     windows = -(-sum(len(rs) * (n // M) for M, rs in groups.items()) // _BLOCK)
     for i in range(windows):
         lo, hi = n * i // windows, n * (i + 1) // windows
@@ -185,24 +210,18 @@ def _class_blocks(groups: dict[int, list[int]], n: int) -> Iterator[list[int]]:
 def _listing(decompositions: list[SolutionSet],
              budget: int = DEFAULT_BUDGET) -> Iterator[list[int]]:
     """The blocks of sorted solutions modulo n = prod p_i**e_i, once their count
-    is checked against the budget.  Each tuple of per-factor balls r_i mod
-    p_i**k_i is one class mod prod p_i**k_i, whose value fixes the tuple: that
-    of x = sum r_i * b_i, with b_i = 1 mod p_i**e_i and 0 mod the rest."""
+    is checked against the budget.  Each choice of precisions k_i is one group:
+    its balls r_i mod p_i**k_i recombine into sorted classes mod prod p_i**k_i,
+    in O(classes * log balls) comparisons and no sort of unordered ints."""
     n = prod(d.p ** d.e for d in decompositions)
     count = prod(d.count for d in decompositions)
     if count > budget:
         raise EnumerationBudgetError(
             f"enumeration too large: {count} solutions exceed the budget {budget}")
-    groups = {1: [0]}
-    for decomposition in decompositions:
-        p, pe = decomposition.p, decomposition.p ** decomposition.e
-        b = n // pe * pow(n // pe, -1, pe) % n
-        terms: dict[int, list[int]] = {}
-        for ball in decomposition.balls:
-            terms.setdefault(p ** ball.k, []).append(ball.r * b % n)
-        groups = {M * q: [x + t for x in xs for t in ts]
-                  for q, ts in terms.items() for M, xs in groups.items()}
-    return _class_blocks({M: [x % M for x in xs] for M, xs in groups.items()}, n)
+    per_factor = [[(d.p ** k, [ball.r for ball in balls])
+                   for k, balls in groupby(d.balls, lambda ball: ball.k)] for d in decompositions]
+    return _class_blocks({prod(m for m, _ in group): _crt_members(group)
+                          for group in product(*per_factor)}, n)
 
 
 def is_solution(trunk: Trunk, x: int, e: int) -> bool:

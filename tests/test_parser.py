@@ -424,8 +424,29 @@ def test_residue_parse_of_a_multiple_of_m_takes_the_exact_walk():
     assert _parse_residues("9*X^2+9", 9) == Polynomial([9])
     # degree bound 10002 past MAX_EXPONENT: the exact walk, which accepts it
     assert _parse_residues("(X^5001-X^5001+3*X)^2", 9) == Polynomial([0, 0, 9])
-    # the content 3^(10^6) vanishes mod 9 after a few squarings; the exact
-    # walk then only tells that P is not 0, so no valuation is taken
+    # the content 3^(10^6) vanishes mod 9 after a few squarings; its residue
+    # mod 2^61 - 1 then tells that P is not 0, so no valuation is taken
     start = time.perf_counter()
     assert _parse_residues("3^10000^10^10*X", 9) == Polynomial([9])
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("text, value, walks", [
+    ("3^10000^10^10*X", [9], [9, 2**61 - 1]),
+    ("9*X^2+9", [9], [9, 2**61 - 1]),
+    ("X^2+1", [1, 0, 1], [9]),
+    # 0 modulo 9 and the check prime, so only the exact walk tells 0 from not 0
+    ("X-X", [], [9, 2**61 - 1, 0]),
+    (f"{9 * (2**61 - 1)}*X^2", [9], [9, 2**61 - 1, 0]),
+])
+def test_residue_parse_runs_exactly_only_what_vanishes_mod_a_second_prime(
+        text, value, walks, monkeypatch):
+    moduli = []
+    evaluate = parser._evaluate
+
+    def spy(program, m=0):
+        moduli.append(m)
+        return evaluate(program, m)
+    monkeypatch.setattr(parser, "_evaluate", spy)
+    assert _parse_residues(text, 9) == Polynomial(value)
+    assert moduli == walks

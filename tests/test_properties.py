@@ -9,7 +9,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,7 +33,7 @@ from padic_trunk.cli import _all_digits, _write
 from padic_trunk.polynomial import (
     ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
 from padic_trunk.primes import is_prime
-from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _level_counts
+from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _crt_members, _level_counts
 from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
 from invariants import check_trunk
@@ -817,6 +817,58 @@ def test_crt_recombination_equals_the_product_reference(coeffs, exps):
     assert result.count == len(result.solutions)
 
 
+#: the first 11 primes, of which n takes 6 to 8
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@settings(deterministic, max_examples=60)
+@given(lead=st.sampled_from([1, -1, 2, 3]),
+       roots=st.lists(st.integers(-30, 30), min_size=2, max_size=4),
+       primes=st.lists(st.sampled_from(SMALL_PRIMES), min_size=6, max_size=8, unique=True),
+       squared=st.lists(st.booleans(), min_size=8, max_size=8))
+@example(lead=1, roots=[1, 2, 3], primes=[5, 7, 11, 13, 17, 19, 23, 29], squared=[False] * 8)
+@example(lead=1, roots=[0, 0, 0], primes=[2, 3, 5, 7, 11, 13], squared=[True, True] + [False] * 6)
+def test_crt_recombination_over_many_primes_equals_the_product_reference(
+        lead, roots, primes, squared):
+    # every root solves P mod every n: the listing is never empty
+    n = prod(p ** (1 + s) for p, s in zip(primes, squared))
+    P = Polynomial([lead])
+    for r in roots:
+        P = P * Polynomial([-r, 1])
+    assume(crt_solve(P, n, count_only=True).count <= 20000)
+    result = crt_solve(P, n)
+    assert result.solutions == product_crt(P, n)
+
+
+def coprime_factors(rng, size):
+    """Up to size pairwise-coprime moduli from 1 to 2^61 - 1, each with 0 to 5
+    distinct residues, and at most 20,000 members in all."""
+    powers = [[2, 4, 8, 256], [3, 9, 27], [5, 25], [7, 49], [11], [13], [10007],
+              [2**31 - 1], [2**61 - 1]]
+    factors, count = [], 1
+    for _ in range(size):
+        if rng.random() < 0.2 or not powers:
+            m = 1
+        else:
+            m = rng.choice(powers.pop(rng.randrange(len(powers))))
+        k = min(m, rng.randint(0, 5) if rng.random() < 0.05 else rng.randint(1, 5),
+                20000 // max(count, 1))
+        factors.append((m, rng.sample(range(m), k)))
+        count *= k
+    return factors
+
+
+@settings(deterministic, max_examples=300)
+@given(size=st.integers(0, 9), seed=st.integers(0, 10**6))
+def test_crt_members_are_the_sorted_crt_product(size, seed):
+    factors = coprime_factors(random.Random(seed), size)
+    n = prod(m for m, _ in factors)
+    basis = [n // m * pow(n // m, -1, m) % n for m, _ in factors]
+    expected = sorted(sum(r * b for r, b in zip(combo, basis)) % n
+                      for combo in product(*(S for _, S in factors)))
+    assert _crt_members(factors) == expected
+
+
 # ----------------------------------------------------------------------
 # streamed listings of disjoint classes against their ranges
 # ----------------------------------------------------------------------
@@ -862,7 +914,7 @@ def test_class_blocks_stream_the_sorted_members(count, seed):
     groups = {}
     for r, M in classes:
         groups.setdefault(M, []).append(r)
-    blocks = list(_class_blocks(groups, n))
+    blocks = list(_class_blocks({M: sorted(rs) for M, rs in groups.items()}, n))
     for block, following in zip(blocks, blocks[1:]):
         assert block[-1] < following[0]
     assert all(block and block == sorted(block) for block in blocks)
