@@ -24,7 +24,7 @@ from itertools import chain, groupby, product
 from math import prod
 from typing import Iterator, Sequence
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _reduce_coeffs
 from .primes import PrimePower, factorize
 from .trunk import (
     CERTIFIED,
@@ -281,16 +281,24 @@ def crt_solve(P: Polynomial, n: int, *, count_only: bool = False,
               budget: int = DEFAULT_BUDGET, trunk_builder=build_trunk) -> CrtSolution:
     """Solve P(x) = 0 (mod n) for composite n.
 
-    Factors n, solves each prime-power congruence through the trunk
-    pipeline, and recombines each tuple of per-factor balls into one class
-    mod n's divisor prod p_i**k_i.  The per-factor ball structure is always returned;
-    the explicit list is subject to the budget (and skipped entirely
-    with count_only).
+    Factors n and answers each p**e from P modulo p**e, on which its
+    solutions depend: the residues of absolute value at most p**e / 2, with
+    a nonzero P = 0 mod p**e standing as the constant p**e, go to
+    trunk_builder(Q, p, e, levels_only=True), which builds each branch only
+    until phi >= e.  A custom trunk_builder is called so too.  Each tuple
+    of per-factor balls recombines into one class mod n's divisor
+    prod p_i**k_i.  The per-factor ball structure is always returned; the
+    explicit list is subject to the budget (and skipped entirely with
+    count_only).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    factors = [(PrimePower(p, e), ball_decomposition(trunk_builder(P, p, e), e))
-               for p, e in factorize(n)]
+    factors = []
+    for p, e in factorize(n):
+        residues = _reduce_coeffs(list(P.coeffs), p**e)
+        Q = Polynomial._of(residues) if residues or P.is_zero else Polynomial((p**e,))
+        trunk = trunk_builder(Q, p, e, levels_only=True)
+        factors.append((PrimePower(p, e), ball_decomposition(trunk, e)))
     solutions = None if count_only else list(
         chain.from_iterable(_listing([d for _, d in factors], budget)))
     return CrtSolution(n=n, count=prod(d.count for _, d in factors),

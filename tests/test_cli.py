@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from padic_trunk import build_trunk, parse
-from padic_trunk import cli
+from padic_trunk import cli, parser
 from padic_trunk.cli import main
 
 
@@ -281,10 +281,28 @@ def test_errors_exit_nonzero_without_structured_output(capsys):
     ("(9*X^2+1)^6000", "3", "2", "estimated expansion cost exceeds bound 4000000000 (at position 0)"),
 ])
 def test_solve_modulo_p_to_the_e_refuses_as_the_exact_parse_did(capsys, poly, prime, exp, message):
-    # P is parsed modulo p**e only for a prime p and e >= 1, and refused in the
-    # same order and words: the parse, then build_trunk, then the level
+    # P is parsed modulo p**max(e, 1) for a prime p, and refused in the same
+    # order and words: the parse, then build_trunk, then the level
     assert run_cli(capsys, "solve", "--poly", poly, "--prime", prime, "--exp=" + exp) == \
         (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("exp, result", [
+    ("0", (0, "modulus: 3^0\ncount: 1\nsolutions: 0\n", "")),
+    ("-1", (1, "", "error: e must be non-negative\n")),
+])
+def test_solve_at_e_below_one_parses_modulo_p(capsys, monkeypatch, exp, result):
+    # the content 3^(10^6) is never raised exactly: P is 1 mod 3
+    moduli = []
+    evaluate = parser._evaluate
+
+    def spy(program, m=0):
+        moduli.append(m)
+        return evaluate(program, m)
+    monkeypatch.setattr(parser, "_evaluate", spy)
+    assert run_cli(capsys, "solve", "--poly", "3^10000^10^10*X+1", "--prime", "3",
+                   "--exp=" + exp) == result
+    assert moduli == [3]
 
 
 #: each subcommand's options: (type, default, required, choices, action class),

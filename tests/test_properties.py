@@ -36,6 +36,7 @@ from padic_trunk.primes import is_prime
 from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _crt_members, _level_counts
 from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
+import digest
 from invariants import check_trunk
 from oracle import check_case, random_case
 
@@ -316,6 +317,64 @@ def test_crt_solve_matches_brute_force(case, n):
     assert result.count == len(expected)
 
 
+#: the primes of the moduli that crt_cases draws
+CRT_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def crt_cases(draw):
+    """(P, n): n has 1 to 4 prime-power factors p**e, p <= 31, e <= 40; P is a
+    product of up to three powers of linear factors, often with roots close at
+    n's first prime, or a pure power c * S**m, with coefficients up to 200
+    bits and a content at that prime of up to p**3 or past p**e."""
+    primes = draw(st.lists(st.sampled_from(CRT_PRIMES), min_size=1, max_size=4, unique=True))
+    exps = [draw(st.integers(1, 40)) for _ in primes]
+    p, e = primes[0], exps[0]
+    coefficient = st.one_of(small, st.integers(-2**200, 2**200))
+    b = draw(coefficient)
+    if draw(st.booleans()):
+        P = Polynomial([1])
+        for _ in range(draw(st.integers(1, 3))):
+            b = b + p ** draw(st.integers(1, 4)) if draw(st.booleans()) else draw(coefficient)
+            P = P * Polynomial([-b, draw(st.integers(1, 9))]) ** draw(st.integers(1, 3))
+    else:
+        S = Polynomial([-b, draw(st.integers(1, 9))])
+        if draw(st.booleans()):
+            S = S * Polynomial([draw(coefficient), draw(small), 1])
+        P = S ** draw(st.integers(2, 4))
+    content = p ** draw(st.sampled_from([0, 1, 2, 3, e, e + 2]))
+    return draw(st.sampled_from([1, -1, 2, 3])) * content * P, prod(map(pow, primes, exps))
+
+
+@settings(deterministic, max_examples=200)
+@given(case=crt_cases(), Q=st.lists(st.integers(-2**64, 2**64), max_size=4))
+@example(case=(parse("3^50*(X^2-1)"), 2 * 3**40 * 5**3), Q=[1])
+@example(case=(parse("(X^2-17)^2*(X-3)"), 13**40 * 31), Q=[])
+def test_crt_solve_answers_each_prime_power_from_residues(case, Q):
+    # each factor is built to phi >= e from P's residues mod p**e, of absolute
+    # value at most p**e / 2, or from the constant p**e where P = 0 mod p**e;
+    # its balls are those of the exact P's default trunk at level e
+    P, n = case
+    built = []
+
+    def spy(R, p, e, **options):
+        assert options == {"levels_only": True}
+        assert all(2 * abs(c) <= p**e for c in R.coeffs) or R == Polynomial([p**e])
+        trunk = build_trunk(R, p, e, **options)
+        assert all(node.phi - node.t < e for node in trunk.iter_nodes())
+        built.append((p, e))
+        return trunk
+
+    result = crt_solve(P, n, count_only=True, trunk_builder=spy)
+    assert built == [(pp.p, pp.e) for pp, _ in result.factors]
+    for pp, decomposition in result.factors:
+        assert decomposition == ball_decomposition(build_trunk(P, pp.p, pp.e), pp.e)
+    assert result.count == prod(d.count for _, d in result.factors)
+    shifted = P + n * Polynomial(Q)
+    assume(not shifted.is_zero)
+    assert crt_solve(shifted, n, count_only=True) == result
+
+
 @settings(deterministic, max_examples=100)
 @given(case=trunk_inputs(), max_level=st.integers(1, 6))
 def test_poincare_coefficients_match_counts(case, max_level):
@@ -541,6 +600,18 @@ def test_certified_series_is_reduced_with_one_factor_per_tail_thickness(case, ma
 def test_trunk_answers_match_the_lifting_oracle_at_depth(rng):
     P, p, power = random_case(rng)
     check_case(P, p, rng, power)
+
+
+def test_the_digest_is_seeded_and_hashes_every_count(monkeypatch):
+    # tests/golden/digest.json holds a longer run's answer hash, checked in CI
+    answers, structure, kinds = digest.digest(4, 6)
+    assert digest.digest(4, 6) == (answers, structure, kinds)
+    assert digest.digest(5, 6)[:2] != (answers, structure)
+    count = digest.count_solutions
+    monkeypatch.setattr(digest, "count_solutions",
+                        lambda trunk, e: count(trunk, e) + (e == digest.LEVELS))
+    changed = digest.digest(4, 6)
+    assert changed[0] != answers and changed[1:] == (structure, kinds)
 
 
 # ----------------------------------------------------------------------

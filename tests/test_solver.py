@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -304,6 +305,18 @@ def test_crt_budget_and_validation():
         crt_solve(X, 1)
     # counting ignores the explicit-list budget
     assert crt_solve(X**2 - 1, 24, budget=4, count_only=True).count == 8
+
+
+def test_crt_solve_builds_each_factor_from_residues_of_a_huge_content():
+    # P = 3^(10^6) * (X^2 - 1) is 0 mod 3^2 and stands there as the constant
+    # 3^2; an exact trunk at 3^2 strips the valuation 10^6, about 2 s
+    P = parse("3^10000^10^10*(X^2-1)")
+    start = time.perf_counter()
+    result = crt_solve(P, 2250)
+    assert time.perf_counter() - start < 0.5
+    assert result.count == 18
+    assert [(pp.p, pp.e, d.count) for pp, d in result.factors] == [(2, 1, 1), (3, 2, 9), (5, 3, 2)]
+    assert result.solutions == brute_force(P.reduce_mod(2250), 2250)
 
 
 def test_prime_power_validation():
