@@ -44,7 +44,9 @@ listings came to be built sorted, by rotating and merging CRT classes:
 `(X-1)*(X-2)*(X-3)` mod 1616615 = 5*7*11*13*17*19, six primes and 729
 solutions, in text and JSON, and `X^3*(X-1)^2` mod 415800 =
 2^3*3^3*5^2*7*11, whose 2880 solutions come from four groups of ball
-precisions.
+precisions.  Four empty listings of `X^2+1`, mod 3^2 and mod 21, in text
+(`solutions: ` with a trailing space) and JSON (`"solutions": []`), were
+added before listings came to be formatted through one bytes template.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.
@@ -188,6 +190,12 @@ COMMANDS = {
     "solve-modulus-415800": ["solve", "--poly", "X^3*(X-1)^2", "--modulus", "415800"],
     "trunk-json-content": ["trunk", "--poly", "9*X^2", "--prime", "3", "--max-level", "3",
                            "--format", "json"],
+    "solve-empty-text": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "2"],
+    "solve-empty-json": ["solve", "--poly", "X^2+1", "--prime", "3", "--exp", "2",
+                         "--format", "json"],
+    "solve-modulus-21-empty": ["solve", "--poly", "X^2+1", "--modulus", "21"],
+    "solve-modulus-21-empty-json": ["solve", "--poly", "X^2+1", "--modulus", "21",
+                                    "--format", "json"],
 }
 
 
