@@ -9,14 +9,16 @@ serializes every integer as a decimal string so arbitrary-precision
 values survive any JSON consumer.  One writer, `_write`, prints the
 bytes of `json.dumps(doc, indent=2, sort_keys=True)` on the document
 with its ints as strings.  A listing reaches it, and the text output, as
-the solver's stream of sorted blocks of about 4096 ints, so no int list is
-held.  Each command renders its whole output, as a list of parts, before
-anything is printed, with CPython's limit on int-to-str digits lifted
-(the parser caps each literal at MAX_DIGITS instead); `main` writes the
-parts one by one, never joined, so a listing peaks at about one copy of
-the bytes printed.  Diagnostics go to stderr with a nonzero exit code; no
-output is emitted on error paths.  `main` may be called repeatedly in one
-process: the argument parser is built once.
+the solver's stream of sorted blocks of about 4096 ints, each formatted at
+once into ASCII bytes by a slice of one template per listing.  Each
+command renders its whole output, as a list of parts, before anything is
+printed, with CPython's limit on int-to-str digits lifted (the parser caps
+each literal at MAX_DIGITS instead); `main` writes the parts one by one,
+never joined, and frees each as it goes, a bytes part once decoded, so a
+listing peaks at about one copy of the bytes printed.  Diagnostics go to
+stderr with a nonzero exit code; no output is emitted on error paths.
+`main` may be called repeatedly in one process: the argument parser is
+built once.
 """
 
 from __future__ import annotations
@@ -53,24 +55,28 @@ from .trunk import (
 SCHEMA_VERSION = "1"
 
 
-def _int_blocks(blocks: Iterable[list[int]], template: str, sep: str,
-                lead: str = "") -> Iterator[str]:
-    """The ints of blocks by template, separated by sep and led by lead, a block at a time."""
+def _int_blocks(blocks: Iterable[list[int]], fmt: bytes, sep: bytes,
+                lead: bytes = b"") -> Iterator[bytes]:
+    """The ints of blocks by fmt, separated by sep and led by lead, from one bytes template."""
+    template, start, unit = b"", len(sep), len(sep) + len(fmt)
     for block in blocks:
-        yield lead + sep.join([template] * len(block)) % tuple(block)
-        lead = sep
+        end = unit * len(block)
+        if end > len(template):
+            template = (sep + fmt) * len(block)
+        yield lead + template[start:end] % tuple(block)
+        lead, start, block = b"", 0, None  # its ints are freed before the next block is built
 
 
-def _write(value, indent: str, parts: list[str]) -> None:
-    """Append to parts what json.dumps(value, indent=2, sort_keys=True) would
-    write for value with every int (not bool) replaced by its decimal string."""
+def _write(value, indent: str, parts: list[str | bytes]) -> None:
+    """Append to parts what json.dumps(value, indent=2, sort_keys=True) would write
+    for value with every int (not bool) as its decimal string, and a listing as bytes."""
     if type(value) is int:
         parts.append(f'"{value}"')
     elif isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif isinstance(value, Iterator):  # a listing: blocks of ints, written as one list
-        start, inner = len(parts), indent + "  "
-        parts.extend(_int_blocks(value, '"%d"', ",\n" + inner, "[\n" + inner))
+        start, inner = len(parts), (indent + "  ").encode()
+        parts.extend(_int_blocks(value, b'"%d"', b",\n" + inner, b"[\n" + inner))
         parts.append("\n" + indent + "]" if len(parts) > start else "[]")
     elif not value or not isinstance(value, (dict, list)):
         parts.append(json.dumps(value))  # null, true, false, {} and []
@@ -88,8 +94,8 @@ def _write(value, indent: str, parts: list[str]) -> None:
         parts.append("\n" + indent + "]")
 
 
-def _json(command: str, inputs: dict, payload: dict) -> list[str]:
-    parts: list[str] = []
+def _json(command: str, inputs: dict, payload: dict) -> list[str | bytes]:
+    parts: list[str | bytes] = []
     _write({"schema_version": SCHEMA_VERSION, "command": command,
             "input": inputs, "payload": payload}, "", parts)
     return parts
@@ -188,7 +194,7 @@ def _trunk_dot(trunk: Trunk, fans_to: int | None) -> str:
     return "\n".join(lines)
 
 
-def _cmd_trunk(args: argparse.Namespace) -> list[str]:
+def _cmd_trunk(args: argparse.Namespace) -> list[str | bytes]:
     if args.with_fans is not None and args.format != "dot":
         raise ValueError("--with-fans requires --format dot")
     if args.with_fans is not None and args.with_fans < 0:
@@ -218,7 +224,7 @@ def _balls(decomposition) -> list[dict]:
             for ball in decomposition.balls]
 
 
-def _solve_text(payload: dict, balls: bool) -> list[str]:
+def _solve_text(payload: dict, balls: bool) -> list[str | bytes]:
     """The text of a solve payload; with balls, its balls replace the listing."""
     if "n" in payload:
         factors = payload["factors"]
@@ -237,11 +243,11 @@ def _solve_text(payload: dict, balls: bool) -> list[str]:
             lines.append(f"  {ball['r']} mod {section['p']}^{ball['k']}  ({size} {noun})")
     parts = ["\n".join(lines)]
     if "solutions" in payload and not balls:
-        parts += ["\nsolutions: ", *_int_blocks(payload["solutions"], "%d", " ")]
+        parts += ["\nsolutions: ", *_int_blocks(payload["solutions"], b"%d", b" ")]
     return parts
 
 
-def _cmd_solve(args: argparse.Namespace) -> list[str]:
+def _cmd_solve(args: argparse.Namespace) -> list[str | bytes]:
     n, p, e = args.modulus, args.prime, args.exp
     if n is not None:
         if p is not None or e is not None:
@@ -280,7 +286,7 @@ def _cmd_solve(args: argparse.Namespace) -> list[str]:
     return _solve_text(payload, args.balls)
 
 
-def _cmd_classify(args: argparse.Namespace) -> list[str]:
+def _cmd_classify(args: argparse.Namespace) -> list[str | bytes]:
     result = classify_quadratic(parse(args.poly), args.prime)
     base = "infinite" if result.base_length is None else str(result.base_length)
     payload = {"kind": result.kind, "base_length": base}
@@ -289,7 +295,7 @@ def _cmd_classify(args: argparse.Namespace) -> list[str]:
     return [f"kind: {payload['kind']}\nbase stem length: {payload['base_length']}"]
 
 
-def _cmd_poincare(args: argparse.Namespace) -> list[str]:
+def _cmd_poincare(args: argparse.Namespace) -> list[str | bytes]:
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
@@ -393,7 +399,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.writelines([*parts, "\n"])  # never joined: a listing is held once
+    parts.append("\n")
+    parts.reverse()  # never joined: each part is popped, and a bytes part freed once decoded
+    while parts:
+        sys.stdout.write(parts.pop().decode() if type(parts[-1]) is bytes else parts.pop())
     return 0
 
 

@@ -430,6 +430,21 @@ def test_a_reader_closing_the_pipe_ends_the_run_without_a_traceback():
     assert "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_pipe_closed_mid_listing_exits_1_with_nothing_on_stderr(fmt):
+    # 1,614,007 solutions, tens of MB: the reader closes after 100 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "padic_trunk", "solve", "--poly", "X^4*(X-1)^2*(X-2)",
+         "--prime", "3", "--exp", "18", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 # ----------------------------------------------------------------------
 # answers past CPython's int-to-str digit limit
 # ----------------------------------------------------------------------

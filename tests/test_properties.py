@@ -29,7 +29,7 @@ from padic_trunk import (
     poincare_series,
     val_p,
 )
-from padic_trunk.cli import _all_digits, _write
+from padic_trunk.cli import _all_digits, _solve_text, _write
 from padic_trunk.polynomial import (
     ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
 from padic_trunk.primes import is_prime
@@ -1023,6 +1023,30 @@ DOCUMENTS = st.recursive(
     max_leaves=12)
 
 
+def written(parts):
+    """The text `main` prints for parts, without its final newline: bytes
+    parts, a listing's formatted blocks, are decoded as they are written."""
+    return "".join(part if isinstance(part, str) else part.decode() for part in parts)
+
+
+def int_blocks(sizes, seed, bound=10**12):
+    """Blocks of the given sizes of ints drawn from (-bound, bound)."""
+    rng = random.Random(seed)
+    return [[rng.randrange(1 - bound, bound) for _ in range(size)] for size in sizes]
+
+
+def assert_listing_prints(blocks):
+    """A stream of blocks prints, in JSON and in text, as its ints would."""
+    flat = [x for block in blocks for x in block]
+    doc = {"a": [1], "solutions": flat}
+    parts = []
+    _write({**doc, "solutions": iter(blocks)}, "", parts)
+    assert written(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
+    payload = {"p": 2, "e": 3, "count": len(flat), "solutions": iter(blocks)}
+    assert written(_solve_text(payload, False)) == (
+        f"modulus: 2^3\ncount: {len(flat)}\nsolutions: " + " ".join(map(str, flat)))
+
+
 @settings(deterministic, max_examples=200)
 @given(doc=DOCUMENTS)
 @example(doc={})
@@ -1032,14 +1056,25 @@ def test_writer_equals_json_dumps_of_the_stringified_document(doc):
     parts = []
     with _all_digits():
         _write(doc, "", parts)
-        assert "".join(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
+        assert written(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("sizes", [[], [1], [4096, 1], [3, 4095, 4097]])
+# a block that grows past the template formatted so far, and blocks that
+# take a short slice of it after it has grown
+@pytest.mark.parametrize("sizes", [[], [1], [4096, 1], [3, 4095, 4097], [1, 4096, 9000, 2, 4097]])
 def test_writer_prints_a_stream_of_int_blocks_as_its_list(sizes):
-    rng = random.Random(len(sizes))
-    blocks = [rng.choices(range(-10**12, 10**12), k=size) for size in sizes]
-    doc = {"a": [1], "solutions": [x for block in blocks for x in block]}
-    parts = []
-    _write({**doc, "solutions": iter(blocks)}, "", parts)
-    assert "".join(parts) == json.dumps(stringified(doc), indent=2, sort_keys=True)
+    assert_listing_prints(int_blocks(sizes, len(sizes)))
+
+
+@settings(deterministic, max_examples=40)
+@given(sizes=st.lists(st.integers(1, 5000), max_size=6), seed=st.integers(0, 1000),
+       bound=st.sampled_from([10, 10**12, 10**40]))
+def test_listing_streams_print_for_any_block_sizes(sizes, seed, bound):
+    # the solver yields no empty block
+    assert_listing_prints(int_blocks(sizes, seed, bound))
+
+
+def test_listing_ints_past_the_digit_limit_print_whole():
+    # bytes %d keeps CPython's int-to-str digit limit, which _all_digits lifts
+    with _all_digits():
+        assert_listing_prints([[-(10**4301), 7], [10**5000 + 1], [3, 10**4300 - 1]])
