@@ -208,8 +208,10 @@ class Polynomial:
 
 
 #: Primes below this find roots by a scan of every residue (reduced_roots).
-#: On a memo miss it costs what the gcd path does near p = 200 to 270 for
-#: degrees 2 to 8: at p = 251, 80-210 us against 60-195 us (CPython 3.11).
+#: On a memo miss, for degrees 3 to 8, it costs what the gcd path does near
+#: p = 150, and at p = 251 53-115 us against 35-79 us; a quadratic costs
+#: 2 us in closed form at any p, as much as its scan at p = 13 and a
+#: twentieth of it at p = 251.  A memo hit costs 0.24 us (CPython 3.11).
 ROOT_SCAN_LIMIT = 256
 SCAN_MEMO_DEGREE, SCAN_MEMO_SIZE = 8, 2048
 
@@ -232,7 +234,8 @@ def reduced_roots(red: Polynomial, p: int) -> tuple[int, ...] | list[int]:
     on CPython 3.11.  Otherwise the roots are those of g = gcd(f, X**p - X),
     f the monic red, with X**p mod f found by repeated squaring, g split by
     equal-degree factorisation (Cantor-Zassenhaus): about deg(red)**2 * log p
-    operations mod p, the splitting deterministic per input.
+    operations mod p, the splitting deterministic per input.  A quadratic f,
+    g or piece of g is solved in closed form from its discriminant.
     """
     if p >= ROOT_SCAN_LIMIT:
         return _roots_by_gcd(red, p)
@@ -344,24 +347,22 @@ def _minus_one_at(a: list[int], i: int, p: int) -> list[int]:
 def _roots_by_gcd(red: Polynomial, p: int) -> list[int]:
     """roots_mod_p without the scan, for red reduced mod p of degree >= 1."""
     f = _monic(list(red.coeffs), p)
-    if len(f) == 2:
-        # _powmod_p needs X reduced mod f
-        return [-f[0] % p]
+    if len(f) <= 3:
+        return _small_roots(f, p)
     # the distinct roots of f are those of g = gcd(f, X**p - X)
     g = _gcd_p(f, _minus_one_at(_powmod_p([0, 1], p, f, p), 1, p), p)
-    if len(g) <= 2:
-        return [-g[0] % p] if len(g) == 2 else []
-    if len(g) - 1 == p:
-        return list(range(p))
+    if len(g) <= 3:
+        return _small_roots(g, p)
     # g is a product of distinct linear factors; split it along the
-    # quadratic character of x + a, a drawn from a PRNG seeded by the input
+    # quadratic character of x + a, a drawn from a PRNG seeded by the input,
+    # down to pieces of degree <= 2
     rng = random.Random(f"{p}:{f}")
     roots: list[int] = []
     stack = [g]
     while stack:
         g = stack.pop()
-        if len(g) == 2:
-            roots.append(-g[0] % p)
+        if len(g) <= 3:
+            roots += _small_roots(g, p)
             continue
         while True:
             w = _powmod_p([rng.randrange(p), 1], (p - 1) // 2, g, p)
@@ -371,6 +372,46 @@ def _roots_by_gcd(red: Polynomial, p: int) -> list[int]:
                 stack.append(_divmod_p(g, h, p)[0])
                 break
     return sorted(roots)
+
+
+def _small_roots(f: list[int], p: int) -> list[int]:
+    """The sorted distinct roots over F_p of the monic f of degree <= 2: a
+    quadratic X**2 + b*X + c from its discriminant, by Euler's criterion and
+    a square root, with the two residues tried at p = 2."""
+    if len(f) < 3:
+        return [-f[0] % p] if len(f) == 2 else []
+    c, b = f[0], f[1]
+    if p == 2:
+        return [x for x in (0, 1) if (x * (x + b) + c) % 2 == 0]
+    disc, half = (b * b - 4 * c) % p, (p + 1) // 2
+    if not disc:
+        return [-b * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod_p(disc, p)
+    return sorted(((-b - s) * half % p, (-b + s) * half % p))
+
+
+def _sqrt_mod_p(a: int, p: int) -> int:
+    """A square root of the nonzero square a modulo the odd prime p:
+    a**((p+1)/4) when p = 3 mod 4, else Tonelli-Shanks with the least
+    non-square z, for p - 1 = q * 2**s with q odd."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = _strip(p - 1, 2)
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    # invariant: r**2 = a * t, and t has order dividing 2**(s-1), c order 2**s
+    while t != 1:
+        i, u = 1, t * t % p
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 # Coefficient lists below are ascending without trailing zeros: exact, or

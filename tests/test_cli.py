@@ -274,6 +274,8 @@ def test_errors_exit_nonzero_without_structured_output(capsys):
     ("X^2+1", "0", "2", "0 is not prime"),
     ("X^2+1", "4", "2", "4 is not prime"),
     ("X^2+1", "-3", "2", "-3 is not prime"),
+    # psi_12 = 399165290221 * 798330580441 fools the twelve bases 2..37
+    ("X^2-1", "318665857834031151167461", "1", "318665857834031151167461 is not prime"),
     ("X^2+1", "3", "-1", "e must be non-negative"),
     ("X-X", "4", "-1", "cannot build a trunk for the zero polynomial"),
     ("(X+1", "0", "2", "unbalanced parenthesis (at position 4)"),
@@ -405,6 +407,16 @@ def test_primes_above_a_million_answer(capsys):
     assert code == 0 and err == ""
     assert out.splitlines() == [f"modulus: {6 * q} = 2^1 * 3^1 * {q}^1",
                                 "count: 4"]
+
+
+def test_a_strong_pseudoprime_to_twelve_bases_is_factored_as_a_modulus(capsys):
+    # psi_12 passes the bases 2..37; taken for prime, it made CRT fail with
+    # "base is not invertible for the given modulus"
+    code, out, err = run_cli(capsys, "solve", "--poly", "X^2-1", "--count-only",
+                             "--modulus", "318665857834031151167461")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "modulus: 318665857834031151167461 = 399165290221^1 * 798330580441^1", "count: 4"]
 
 
 def test_console_entry_point():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -23,10 +24,46 @@ def test_is_prime_strong_pseudoprimes_and_carmichael():
 
 
 def test_is_prime_at_the_deterministic_limit():
-    # 1287836182261 * 2575672364521 is a strong pseudoprime to all twelve
-    # fixed bases: only the extra bases seeded from n reject it
+    # psi_13 = 1287836182261 * 2575672364521 is a strong pseudoprime to the
+    # thirteen fixed bases 2..41: only the extra bases seeded from n reject it
     assert not is_prime(3317044064679887385961981)
     assert is_prime(2**89 - 1)
+
+
+#: psi_k, the least strong pseudoprime to each of the first k prime bases,
+#: k = 1..13 (OEIS A014233)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_rejects_each_least_strong_pseudoprime(k):
+    # psi_k fools the first k bases, so only n < psi_k may be decided by
+    # them: each psi_k sits at a tier boundary of is_prime's table
+    n = PSI[k - 1]
+    assert all(_strong_probable_prime(n, a) for a in BASES[:k])
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_trial_division_and_all_thirteen_bases():
+    assert [n for n in range(5000) if is_prime(n)] == \
+        [n for n in range(5000) if n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))]
+    # composites below psi_13 pass all thirteen bases only if prime
+    rng = random.Random(27)
+    for n in [rng.randrange(5000, 10**20) for _ in range(2000)] + [q - 2 for q in PSI] + list(PSI[:-1]):
+        assert is_prime(n) == all(n == a or _strong_probable_prime(n, a) for a in BASES)
+
 
 def test_factorize_trial_division():
     assert factorize(2) == [(2, 1)]

@@ -670,6 +670,10 @@ def mod_p_inputs(draw):
 
 @settings(deterministic, max_examples=400)
 @given(case=mod_p_inputs())
+# X**p - X divides these: g has degree p, at p = 2 a quadratic with both roots
+@example(case=(Polynomial([0, -1, 0, 1]), 2, "field"))
+@example(case=(Polynomial([0, -1, 0, 1]), 3, "field"))
+@example(case=(Polynomial([0, 0, -1, 0, 1]), 3, "field"))
 def test_roots_mod_p_match_the_scan(case):
     Q, p, kind = case
     expected = _scan_roots(Q, p)
@@ -680,6 +684,59 @@ def test_roots_mod_p_match_the_scan(case):
         assert expected == list(range(p))
     if kind == "rootless":
         assert expected == []
+
+
+#: p = 3 mod 4 (3, 7, 1019, 2^61 - 1), 5 mod 8 (13, 1013), and 1 mod 8 with
+#: p - 1 divisible by 2^8, 2^9, 2^16 and 2^32 (257, 7681, 65537,
+#: 2^64 - 2^32 + 1): the square roots of both kinds, Tonelli-Shanks at depth
+QUADRATIC_PRIMES = [2, 3, 7, 13, 257, 1013, 1019, 7681, 65537,
+                    2**61 - 1, 2**64 - 2**32 + 1]
+
+
+@st.composite
+def quadratic_inputs(draw):
+    """(Q, p, roots): Q of degree 2 mod p, with its distinct roots mod p when
+    they are known by construction (two, double or none), else None."""
+    p = draw(st.sampled_from(QUADRATIC_PRIMES))
+    kind = draw(st.sampled_from(["split", "double", "rootless", "random"]))
+    a, b = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    roots = None
+    if kind == "split":
+        Q, roots = Polynomial([-a, 1]) * Polynomial([-b, 1]), sorted({a, b})
+    elif kind == "double":
+        Q, roots = Polynomial([-a, 1]) ** 2, [a]
+    elif kind == "rootless":
+        Q, roots = _rootless_quadratic(p, a), []
+    else:
+        Q = Polynomial([b, a, 1])
+    # a unit leading coefficient and integer lifts, as successors carry them
+    Q = draw(st.integers(1, p - 1)) * Q + p * Polynomial(
+        draw(st.lists(st.integers(-50, 50), max_size=3)))
+    return Q, p, roots
+
+
+@settings(deterministic, max_examples=300)
+@given(case=quadratic_inputs())
+@example(case=(Polynomial([1, 1, 1]), 2, []))
+@example(case=(Polynomial([0, 1, 1]), 2, [0, 1]))
+@example(case=(Polynomial([1, 0, 1]), 2, [1]))
+@example(case=(Polynomial([1, 0, 1]), 3, []))
+@example(case=(Polynomial([1, 1, 1]), 3, [1]))
+def test_quadratics_in_closed_form_match_the_scan(case):
+    Q, p, roots = case
+    red = Q.reduce_mod(p)
+    found = _roots_by_gcd(red, p)
+    assert roots_mod_p(Q, p) == found
+    if p <= 65537:
+        assert found == _scan_roots(Q, p)
+    assert roots is None or found == roots
+    # every root found is one, and they account for both of Q's roots
+    assert all(Q.evaluate(x, p) == 0 for x in found)
+    lead = Polynomial([red.coeffs[-1]])
+    if len(found) == 2:
+        assert (lead * Polynomial([-found[0], 1]) * Polynomial([-found[1], 1])).reduce_mod(p) == red
+    elif found:
+        assert (lead * Polynomial([-found[0], 1]) ** 2).reduce_mod(p) == red
 
 
 SCAN_PRIMES = [q for q in range(2, ROOT_SCAN_LIMIT) if is_prime(q)]
