@@ -3,7 +3,7 @@
 Each command computes one payload dict; JSON output writes it, and text
 output is rendered from it (the trunk's tree and dot drawing are read off
 the trunk).  `solve` parses P modulo its modulus, p**max(e, 1) or n, on
-which its answers depend, and refuses a bad modulus after the exact parse.
+which its answers depend, and a bad modulus modulo 2 before refusing it.
 Structured output is deterministic (sorted keys, sorted lists) and
 serializes every integer as a decimal string so arbitrary-precision
 values survive any JSON consumer.  One writer, `_write`, prints the
@@ -259,8 +259,8 @@ def _cmd_solve(args: argparse.Namespace) -> list[str | bytes]:
         m = p ** max(e, 1) if is_prime(p) else 0
     # the answer modulo m depends only on P modulo m, and a prime power's
     # levels past phi >= e never reach it; e <= 0 parses modulo p, and a bad
-    # modulus or prime is refused as before, after the exact parse
-    P = _parse_residues(args.poly, m) if m >= 2 else parse(args.poly)
+    # modulus or prime (m < 2) modulo 2, which refuses and tells P = 0 alike
+    P = _parse_residues(args.poly, max(m, 2))
     if n is not None:
         result = crt_solve(P, n, count_only=True)
         decompositions = [decomposition for _, decomposition in result.factors]

@@ -17,10 +17,11 @@ nest at most MAX_NESTING deep, and integer literals are decimal digits,
 at most MAX_DIGITS of them on every Python.
 
 The text is tokenized and compiled once, to a postfix program.  One loop
-over the program estimates the expansion's cost, so a syntax error or a
-cost past MAX_COST beats any expansion; one more loop evaluates it over
-coefficient lists, exactly for parse or as residues modulo m for
-_parse_residues.
+over the program bounds the expansion's cost and each power's degree, so
+a syntax error, a cost past MAX_COST or a degree past MAX_EXPONENT is
+refused before any expansion; one more loop, which refuses nothing,
+evaluates it over coefficient lists, exactly for parse or as residues
+modulo m for _parse_residues.
 """
 
 from __future__ import annotations
@@ -175,19 +176,20 @@ def _compile(text: str, variable: str) -> list[tuple[str, object, int]]:
     return program
 
 
-def _check_cost(program: list[tuple[str, object, int]]) -> bool:
+def _check_cost(program: list[tuple[str, object, int]]) -> None:
     """Refuse a program whose expansion is estimated past MAX_COST products of
-    30-bit digits; else return whether some power's degree bound times its
-    exponent passes MAX_EXPONENT, the only case where evaluating may refuse it.
-    A value is bounded by its degree d and log2 l of its absolute coefficient
-    sum, which is submultiplicative; a product costs (d1 + 1) * (d2 + 1) *
-    (l1 // 30 + 1) * (l2 // 30 + 1), and a power those of square-and-multiply,
-    replayed below as a cost model only: refusals stay put, although no code
-    multiplies in that order (polynomial._pow_coeffs packs, or squares halves)."""
+    30-bit digits, else one with a power whose degree bound times its exponent
+    passes MAX_EXPONENT, at the first such "^" (so (X^5001-X^5001+3*X)^2 is
+    refused though its terms cancel); _evaluate refuses nothing.  A value is
+    bounded by its degree d and log2 l of its absolute coefficient sum, which
+    is submultiplicative; a product costs (d1 + 1) * (d2 + 1) * (l1 // 30 + 1)
+    * (l2 // 30 + 1), and a power those of square-and-multiply, replayed below
+    as a cost model only: refusals stay put, although no code multiplies in
+    that order (polynomial._pow_coeffs packs, or squares halves)."""
     stack: list[tuple[int, float]] = []
     spent = 0.0
-    wide = False
-    for op, arg, _ in program:
+    past_degree_at = None
+    for op, arg, at in program:
         if op == "int":
             stack.append((0, log2(abs(arg) or 1)))
         elif op == "x":
@@ -197,12 +199,12 @@ def _check_cost(program: list[tuple[str, object, int]]) -> bool:
             d1, l1 = stack[-1]
             spent += (d1 + 1) * (d2 + 1) * (l1 // 30 + 1) * (l2 // 30 + 1)
             stack[-1] = (d1 + d2, l1 + l2)
-        elif op == "^":
-            # past MAX_COST the text is refused, and skipping the powers keeps the loop linear
             if spent > MAX_COST:
-                continue
+                break
+        elif op == "^":
             d, l = stack[-1]
-            wide = wide or d * arg > MAX_EXPONENT
+            if past_degree_at is None and d * arg > MAX_EXPONENT:
+                past_degree_at = at
             pd, pl = 0, 0.0
             for i in range(arg.bit_length()):
                 if i:
@@ -212,6 +214,8 @@ def _check_cost(program: list[tuple[str, object, int]]) -> bool:
                     spent += (pd + 1) * (d + 1) * (pl // 30 + 1) * (l // 30 + 1)
                     pd, pl = pd + d, pl + l
             stack[-1] = (pd, pl)
+            if spent > MAX_COST:
+                break
         elif op != "neg":  # + or -: the coefficient sums add
             d2, l2 = stack.pop()
             d1, l1 = stack[-1]
@@ -219,7 +223,8 @@ def _check_cost(program: list[tuple[str, object, int]]) -> bool:
             stack[-1] = (max(d1, d2), log)
     if spent > MAX_COST:
         raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
-    return wide
+    if past_degree_at is not None:
+        raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", past_degree_at)
 
 
 def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
@@ -227,7 +232,7 @@ def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
     zero: exact, or with m >= 2 its residues in [-(m//2), m - m//2), reduced
     after every step so that packed products stay narrow."""
     stack: list[list[int]] = []
-    for op, arg, at in program:
+    for op, arg, _ in program:
         if op == "int":
             value = [arg]
         elif op == "x":
@@ -235,10 +240,7 @@ def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
         elif op == "*":
             value = _mul_coeffs(stack.pop(), stack.pop(), m)
         elif op == "^":
-            value = stack.pop()
-            if value and (len(value) - 1) * arg > MAX_EXPONENT:
-                raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", at)
-            value = _pow_coeffs(value, arg, m)
+            value = _pow_coeffs(stack.pop(), arg, m)
         elif op == "neg":
             value = [-c for c in stack.pop()]
         else:
@@ -262,17 +264,12 @@ def parse(text: str, variable: str = "X") -> Polynomial:
 def _parse_residues(text: str, m: int) -> Polynomial:
     """P = parse(text) modulo m >= 2, as residues of absolute value at most
     m/2 (so a P with smaller coefficients comes back as it is), refused where
-    and as parse refuses the text.  The program runs exactly instead when a
-    power's degree bound times its exponent passes MAX_EXPONENT, where parse
-    may refuse it, and when P = 0 modulo m and 2**61 - 1: P = 0 returns for
-    the caller to refuse, and any other P = 0 mod m as the constant m."""
+    and as parse refuses the text.  The program runs exactly only when P = 0
+    modulo m and 2**61 - 1: P = 0 returns for the caller to refuse, and any
+    other P = 0 mod m as the constant m."""
     program = _compile(text, "X")
-    wide = _check_cost(program)
-    if not wide:
-        residues = _evaluate(program, m)
-        if residues:
-            return Polynomial._of(residues)
-        if _evaluate(program, 2**61 - 1):
-            return Polynomial((m,))
-    exact = Polynomial._of(_evaluate(program))
-    return exact if wide or exact.is_zero else Polynomial((m,))
+    _check_cost(program)
+    residues = _evaluate(program, m)
+    if not residues and (_evaluate(program, 2**61 - 1) or _evaluate(program)):
+        residues = [m]
+    return Polynomial._of(residues)

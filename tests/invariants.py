@@ -42,6 +42,47 @@ def gfp_multiplicity(coeffs, rho: int, p: int) -> int:
         mult += 1
 
 
+def _rem(a, f, p):
+    """a mod f over F_p with schoolbook division; lists in ascending order."""
+    a = [c % p for c in a]
+    inv = pow(f[-1], -1, p)
+    while True:
+        while a and a[-1] == 0:
+            a.pop()
+        if len(a) < len(f):
+            return a
+        c = a[-1] * inv % p
+        shift = len(a) - len(f)
+        for i, fc in enumerate(f):
+            a[shift + i] = (a[shift + i] - c * fc) % p
+
+
+def distinct_root_count(f, p):
+    """deg gcd(f, X**p - X) over F_p, the number of distinct roots of f mod p,
+    by square-and-multiply and Euclid; f is reduced mod p, nonzero, in
+    ascending order.  Written here, not taken from polynomial, so that it
+    checks roots_mod_p and the trunk's children independently."""
+    def mulmod(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _rem(out, f, p)
+
+    power, base, n = [1], [0, 1], p
+    while n:
+        if n & 1:
+            power = mulmod(power, base)
+        base = mulmod(base, base)
+        n >>= 1
+    power = power + [0] * (2 - len(power))
+    power[1] -= 1
+    a, b = f, _rem(power, f, p)
+    while b:
+        a, b = b, _rem(a, b, p)
+    return len(a) - 1
+
+
 def _check_balls(trunk: Trunk, e: int) -> None:
     p = trunk.p
     decomposition = ball_decomposition(trunk, e)
@@ -62,10 +103,12 @@ def _check_balls(trunk: Trunk, e: int) -> None:
 
 
 def check_trunk(trunk: Trunk, levels_only: bool = False) -> Trunk:
-    """Check the trunk's invariants; a levels_only trunk keeps each successor
-    only modulo p**(max_level - phi), so its tree-top identity is checked
-    modulo p**max_level, and a vertex at phi = max_level, whose successor is
-    unknown, must be left undetermined."""
+    """Check the trunk's invariants, among them completeness: an expanded or
+    leaf vertex has one child per distinct root of its successor mod p, as
+    distinct_root_count counts them.  A levels_only trunk keeps each
+    successor only modulo p**(max_level - phi), so its tree-top identity is
+    checked modulo p**max_level, and a vertex at phi = max_level, whose
+    successor is unknown, must be left undetermined."""
     p = trunk.p
     P0 = trunk.P0
     d = P0.degree
@@ -119,9 +162,17 @@ def check_trunk(trunk: Trunk, levels_only: bool = False) -> Trunk:
                 mult = gfp_multiplicity(node.successor.coeffs, rho, p)
                 assert child.t <= mult, \
                     f"multiplicity bound fails at {(child.r, child.k)}"
-            assert seen == sorted(seen), "children not in increasing root order"
+            assert all(a < b for a, b in zip(seen, seen[1:])), \
+                "children not in strictly increasing root order"
         else:
             assert node.status != STATUS_EXPANDED
+        if node.status in (STATUS_EXPANDED, STATUS_LEAF):
+            # completeness: a child at every distinct root of the successor mod p
+            red = [c % p for c in node.successor.coeffs]
+            while not red[-1]:
+                red.pop()
+            assert len(node.children) == distinct_root_count(red, p), \
+                f"a root of the successor mod p has no child at {(node.r, node.k)}"
         stack.extend(node.children)
 
     for level, n in width.items():

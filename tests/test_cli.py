@@ -307,6 +307,24 @@ def test_solve_at_e_below_one_parses_modulo_p(capsys, monkeypatch, exp, result):
     assert moduli == [3]
 
 
+@pytest.mark.parametrize("modulus, message", [
+    (["--modulus", "1"], "n must be at least 2"),
+    (["--prime", "4", "--exp", "2"], "4 is not prime"),
+])
+def test_solve_with_a_bad_modulus_parses_modulo_2(capsys, monkeypatch, modulus, message):
+    # the content 3^(10^6) is never raised exactly: P is X mod 2
+    moduli = []
+    evaluate = parser._evaluate
+
+    def spy(program, m=0):
+        moduli.append(m)
+        return evaluate(program, m)
+    monkeypatch.setattr(parser, "_evaluate", spy)
+    assert run_cli(capsys, "solve", "--poly", "3^10000^10^10*X", *modulus) == \
+        (1, "", f"error: {message}\n")
+    assert moduli == [2]
+
+
 #: each subcommand's options: (type, default, required, choices, action class),
 #: as the parser declared them one subcommand at a time
 OPTIONS = {

@@ -123,8 +123,8 @@ PINNED_ERRORS = [
     ("(X+1", "unbalanced parenthesis", 4),
     ("X+1)", "unbalanced parenthesis", 3),
     # MAX_COST: a power, a product of powers, a sum of powers, a power of a
-    # constant, a chain whose later powers the estimate skips, and a power
-    # whose degree bound 5001 is far above its degree 1
+    # constant, a chain the estimate leaves at its first link past the bound,
+    # and a power whose degree bound 5001 is far above its degree 1
     ("(X+1)^3000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
     ("(X+1)^2000 * (X+1)^2000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
     ("(X^2+1)^5000 - (X^9)^9^9", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
@@ -136,6 +136,8 @@ PINNED_ERRORS = [
     ("(X^2)^5001", "expanded power degree exceeds bound 10000", 5),
     ("(X^200)^200", "expanded power degree exceeds bound 10000", 7),
     ("(X^5000*X^2)^2", "expanded power degree exceeds bound 10000", 12),
+    # the degree bound 10002, though the terms cancel to degree 2
+    ("(X^5001-X^5001+3*X)^2", "expanded power degree exceeds bound 10000", 19),
 ]
 
 
@@ -168,6 +170,16 @@ def test_whole_text_is_checked_before_any_power_is_expanded(monkeypatch):
     with pytest.raises(ParseError, match="unbalanced parenthesis") as info:
         parse("(X+1)^10000)")
     assert info.value.position == 11
+
+
+def test_a_power_past_the_degree_bound_is_refused_before_any_expansion(monkeypatch):
+    # the powers before it are within the cost bound, and expanding them takes 0.8 s
+    monkeypatch.setattr(parser, "_evaluate", _refuse_evaluation)
+    text = "(X+1)^1000*(X+2)^1000*(X^2)^5001"
+    for refuse in (parse, lambda text: _parse_residues(text, 9)):
+        with pytest.raises(ParseError) as info:
+            refuse(text)
+        assert str(info.value) == "expanded power degree exceeds bound 10000 (at position 27)"
 
 
 def test_an_expansion_past_the_cost_bound_is_refused_before_it_starts(monkeypatch):
@@ -422,8 +434,8 @@ def test_residue_parse_of_a_multiple_of_m_takes_the_exact_walk():
     assert _parse_residues("X-X", 9).is_zero
     assert _parse_residues("9*X^2+9 - 9*(X^2+1)", 9).is_zero
     assert _parse_residues("9*X^2+9", 9) == Polynomial([9])
-    # degree bound 10002 past MAX_EXPONENT: the exact walk, which accepts it
-    assert _parse_residues("(X^5001-X^5001+3*X)^2", 9) == Polynomial([0, 0, 9])
+    # degree bound 10000 within MAX_EXPONENT: 9*X^2 is 0 mod 9 but not 0
+    assert _parse_residues("(X^5000-X^5000+3*X)^2", 9) == Polynomial([9])
     # the content 3^(10^6) vanishes mod 9 after a few squarings; its residue
     # mod 2^61 - 1 then tells that P is not 0, so no valuation is taken
     start = time.perf_counter()

@@ -37,7 +37,7 @@ from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _crt_members, _leve
 from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
 
 import digest
-from invariants import check_trunk
+from invariants import check_trunk, distinct_root_count
 from oracle import check_case, random_case
 
 PRIMES = st.sampled_from([2, 3, 5, 7])
@@ -788,44 +788,6 @@ def test_a_reduction_above_the_memo_degree_is_answered_and_not_stored():
                                                          before.currsize)
 
 
-def _rem(a, f, p):
-    """a mod f over F_p with schoolbook division; lists in ascending order."""
-    a = [c % p for c in a]
-    inv = pow(f[-1], -1, p)
-    while True:
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(f):
-            return a
-        c = a[-1] * inv % p
-        shift = len(a) - len(f)
-        for i, fc in enumerate(f):
-            a[shift + i] = (a[shift + i] - c * fc) % p
-
-
-def _distinct_root_count(f, p):
-    """deg gcd(f, X**p - X) over F_p, by square-and-multiply and Euclid."""
-    def mulmod(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return _rem(out, f, p)
-
-    power, base, n = [1], [0, 1], p
-    while n:
-        if n & 1:
-            power = mulmod(power, base)
-        base = mulmod(base, base)
-        n >>= 1
-    power = power + [0] * (2 - len(power))
-    power[1] -= 1
-    a, b = f, _rem(power, f, p)
-    while b:
-        a, b = b, _rem(a, b, p)
-    return len(a) - 1
-
-
 MERSENNE_61 = 2**61 - 1
 
 
@@ -842,7 +804,7 @@ def test_roots_mod_a_61_bit_prime(coeffs, roots):
     found = roots_mod_p(Q, q)
     assert all(Q.evaluate(x, q) == 0 for x in found)
     assert set(r % q for r in roots) <= set(found)
-    assert len(found) == _distinct_root_count(list(red.coeffs), q)
+    assert len(found) == distinct_root_count(list(red.coeffs), q)
     assert found == sorted(set(found))
     assert roots_mod_p(Q, q) == found
 

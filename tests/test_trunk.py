@@ -286,6 +286,30 @@ def test_random_trunks_pass_invariants():
     assert built >= 70
 
 
+@pytest.mark.parametrize("degree", [11, 31, 51])
+def test_trunks_at_a_61_bit_prime_are_complete(degree):
+    # a factor (X - r)^t - (q * a)^t with t = 2 or 3 gives a vertex at level 1
+    # whose successor X^t - a^t has t roots mod q (3 divides q - 1); a random
+    # cofactor fills the degree
+    q = 2**61 - 1
+    rng = random.Random(degree)
+    P, left, t = Polynomial([1]), degree, 3
+    while left > 3:
+        r, a = rng.randrange(q), rng.randrange(1, q)
+        P = P * (Polynomial([-r, 1]) ** t - Polynomial([(q * a)**t]))
+        left, t = left - t, t - 1 or 3
+    P = P * Polynomial([rng.randrange(-q, q) for _ in range(left)] + [1])
+    assert P.degree == degree
+    for levels_only in (False, True):
+        trunk = check_trunk(build_trunk(P, q, 4, levels_only=levels_only), levels_only)
+        expanded = [node for node in trunk.iter_nodes() if node.status == STATUS_EXPANDED]
+        assert len(expanded) >= 3
+    # a builder that dropped a root would now be caught at its vertex
+    expanded[-1].children.pop()
+    with pytest.raises(AssertionError, match="a root of the successor mod p has no child"):
+        check_trunk(trunk, levels_only=True)
+
+
 def test_children_agree_with_thickness_and_residual_degree_of_their_parent():
     """build_trunk's one reduction per vertex gives the public primitives' answers."""
     rng = random.Random(61)
