@@ -1,21 +1,23 @@
 """Generating functions and the degree-two trunk classification.
 
-The counts N_e assemble into the series S(u) = sum N_e * (u/p)**e with
-N_0 = 1.  In the variable w = u/p every coefficient is the integer N_e,
-so the series is built with integer polynomial algebra in w.  Each
+The counts N_e assemble into S(u) = sum N_e * (u/p)**e.  Every x solves
+P mod p**e for e <= t0, so S(u) = 1 + u + ... + u**(t0-1) + u**t0 * S0(u),
+S0 the series of P0 = P / p**t0; in w = u/p the coefficients of S0 are
+the integers N0_e, so it is built with integer polynomial algebra.  Each
 certified infinite branch of constant continuation thickness t repeats
 its counts over 1 - p**(t-1) * w**t, which is (1 - u**t / p).  When every
-trunk branch is finished or certified infinite, S times the product D of
+trunk branch is finished or certified infinite, S0 times the product D of
 these factors over the distinct thicknesses is a polynomial (the rational
 form of Denef, Invent. Math. 77, 1984): the counts times D, cut at its
-degree.  That fraction is S(u) exactly and already in lowest terms.  An
-open trunk gives the counts up to its built depth only.
+degree.  That fraction is exact and already in lowest terms.  An open
+trunk gives the counts up to its built depth only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .polynomial import Polynomial
 from .primes import _strip, is_prime
@@ -76,42 +78,46 @@ class RationalSeries:
 
 
 def poincare_series(trunk: Trunk) -> RationalSeries:
-    """S(u) as the trunk's level counts times its denominator, in w = u/p.
+    """S(u) = N / D for P = p**t0 * P0, N = (1 + ... + u**(t0-1)) * D + u**t0 * N0.
 
-    Past the deepest vertex level t0 + max phi, every count comes from
+    Past the deepest vertex level max phi, every count of P0 comes from
     certified tails.  Each period of a tail of thickness t is the one
     before times p**(t-1) * w**t, so multiplying by that tail's factor
-    1 - p**(t-1) * w**t cancels all but its first period.  Hence S * D,
+    1 - p**(t-1) * w**t cancels all but its first period.  Hence S0 * D,
     for D the product of the factors of the distinct thicknesses, is a
-    polynomial of degree at most t0 + max phi + deg D, read off the counts
-    up to that level.
-
-    When the trunk has undetermined branches the result is its counts up
-    to the built depth (never an error), which every open branch covers.
+    polynomial N0 of degree at most max phi + deg D, read off the counts
+    up to that level.  An open trunk has D = 1 and N0 its counts up to the
+    built depth (never an error), which every open branch covers.
     """
-    p = trunk.p
-    if not trunk.fully_resolved:
-        counts = _level_counts(trunk, trunk.t0 + trunk.built_depth)
-        return RationalSeries(numerator=_to_u(counts, p), denominator=(Fraction(1),),
-                              certified=False)
+    p, t0, certified = trunk.p, trunk.t0, trunk.fully_resolved
+    nodes = list(trunk.iter_nodes())
+    thicknesses = sorted({node.t for node in nodes if certified and node.status in CERTIFIED})
+    denominator = Polynomial([1])
+    for t in thicknesses:
+        denominator = denominator * Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
+    last = (max((node.phi for node in nodes), default=0) + denominator.degree if certified
+            else trunk.built_depth)
+    # S0 * D agrees with the counts times D up to w**last and has no term past it
+    n0 = (Polynomial(_level_counts(trunk, last)) * denominator).coeffs[:last + 1]
+    D, N0 = _to_u(denominator.coeffs, p), _to_u(n0, p)
+    # (1 + ... + u**(t0-1)) * D is the prefix sums of (1 - u**t0) * D: those of D, constant
+    # past deg D, up to u**(t0-1), then less those of D; u**t0 * N0 adds on from u**t0
+    prefix = list(accumulate(D))
+    prefix += prefix[-1:] * t0
+    high = [a - b for a, b in zip(prefix[t0:], prefix)]
+    high = [a + b for a, b in zip(high, N0)] + high[len(N0):] + list(N0[len(high):])
+    numerator = prefix[:t0] + high
+    while not numerator[-1]:
+        numerator.pop()
     # No factor divides the numerator, so the fraction is reduced:
     #  * the tails of thickness t sum to a first period over factor_t, whose
     #    coefficients are positive at every level past their phi, so it is
     #    not a polynomial and factor_t does not divide that period;
     #  * p - u**t is Eisenstein at p, so the factors are irreducible and
-    #    pairwise coprime, and factor_t divides every other term of S * D;
-    #  * w**t0, the shift of P0's levels to P's, is coprime to every factor.
-    nodes = list(trunk.iter_nodes())
-    thicknesses = sorted({node.t for node in nodes if node.status in CERTIFIED})
-    denominator = Polynomial([1])
-    for t in thicknesses:
-        denominator = denominator * Polynomial([1] + [0] * (t - 1) + [-p ** (t - 1)])
-    last = trunk.t0 + max((node.phi for node in nodes), default=0) + denominator.degree
-    # S * D agrees with the counts times D up to w**last and has no term past it
-    numerator = Polynomial((Polynomial(_level_counts(trunk, last)) * denominator).coeffs[:last + 1])
-    return RationalSeries(numerator=_to_u(numerator.coeffs, p),
-                          denominator=_to_u(denominator.coeffs, p),
-                          certified=True,
+    #    pairwise coprime, and factor_t divides every other term of N0;
+    #  * a factor dividing the numerator would divide u**t0 * N0, but every
+    #    factor is 1 at u = 0, so coprime to u**t0, and so it would divide N0.
+    return RationalSeries(numerator=tuple(numerator), denominator=D, certified=certified,
                           denominator_factors=tuple((t, 1) for t in thicknesses))
 
 

@@ -16,12 +16,14 @@ Precedence: ^ binds tighter than unary minus, which binds tighter than
 nest at most MAX_NESTING deep, and integer literals are decimal digits,
 at most MAX_DIGITS of them on every Python.
 
-The text is tokenized and compiled once, to a postfix program.  One loop
-over the program bounds the expansion's cost and each power's degree, so
-a syntax error, a cost past MAX_COST or a degree past MAX_EXPONENT is
-refused before any expansion; one more loop, which refuses nothing,
-evaluates it over coefficient lists, exactly for parse or as residues
-modulo m for _parse_residues.
+The text is tokenized and compiled once, to a postfix program.  The
+descent that writes it bounds each value it writes by its degree and the
+log2 of its absolute coefficient sum, and charges each product and power
+its schoolbook cost in 30-bit digit products, up to MAX_COST and no
+further.  So a syntax error, then a cost past MAX_COST, then a power's
+degree bound past MAX_EXPONENT is refused before any expansion; one loop,
+which refuses nothing, evaluates the program over coefficient lists,
+exactly for parse or as residues modulo m for _parse_residues.
 """
 
 from __future__ import annotations
@@ -90,45 +92,64 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 def _compile(text: str, variable: str) -> list[tuple[str, object, int]]:
-    """The postfix program of text, or the ParseError of its first syntax error.
+    """The postfix program of text, refused before any expansion.
 
     Instructions are (op, arg, position): ("int", n, _) and ("x", None, _)
     push a value; "+", "-" and "*" combine the top two; "neg" negates the
     top; ("^", exponent, position of "^") raises it.  One descent writes
     them: sums, products, runs of unary minus and "^" chains are loops, so
-    only parentheses recurse, at most MAX_NESTING deep."""
+    only parentheses recurse, at most MAX_NESTING deep.
+
+    Each step also returns a bound (d, l) of the value it wrote: degree d
+    and log2 l of the absolute coefficient sum, which is submultiplicative.
+    A product costs (d1 + 1) * (d2 + 1) * (l1 // 30 + 1) * (l2 // 30 + 1),
+    and a power those of square-and-multiply, replayed as a cost model only
+    (polynomial._pow_coeffs packs, or squares halves).  Each is charged as
+    it is written, so in program order, and nothing is once the total
+    passes MAX_COST: l may then reach inf, and inf // 30 is nan.  After the
+    text, that total is refused at position 0, else the first power whose
+    degree bound times its exponent passes MAX_EXPONENT at its "^" (so
+    (X^5001-X^5001+3*X)^2 is refused, though its terms cancel).
+    """
     tokens = _tokenize(text)
     variable = variable.lower()
     program: list[tuple[str, object, int]] = []
     emit = program.append
     pos = 0
+    spent = 0.0
+    past_degree_at = None
 
-    def expr(nesting: int) -> None:
+    def expr(nesting: int) -> tuple[int, float]:
         nonlocal pos
-        term(nesting)
+        d, l = term(nesting)
         while True:
             kind, op, at = tokens[pos]
             if kind != "op" or op not in ("+", "-"):
-                return
+                return d, l
             pos += 1
-            term(nesting)
+            d2, l2 = term(nesting)
             emit((op, None, at))
+            # the coefficient sums add
+            d, l = max(d, d2), max(l, l2) + log2(1 + 2.0 ** -abs(l - l2))
 
-    def term(nesting: int) -> None:
-        nonlocal pos
-        factor(nesting)
+    def term(nesting: int) -> tuple[int, float]:
+        nonlocal pos, spent
+        d, l = factor(nesting)
         while True:
             kind, op, at = tokens[pos]
             if kind == "op" and op == "*":
                 pos += 1
             elif not (kind in ("int", "name") or (kind == "op" and op == "(")):
-                return
+                return d, l
             # "*", or adjacency: "3X", "(X+1)(X+2)", "2(X-1)"
-            factor(nesting)
+            d2, l2 = factor(nesting)
             emit(("*", None, at))
+            if spent <= MAX_COST:
+                spent += (d + 1) * (d2 + 1) * (l // 30 + 1) * (l2 // 30 + 1)
+            d, l = d + d2, l + l2
 
-    def factor(nesting: int) -> None:  # "-"* atom ("^" exponent)*
-        nonlocal pos
+    def factor(nesting: int) -> tuple[int, float]:  # "-"* atom ("^" exponent)*
+        nonlocal pos, spent, past_degree_at
         signs, sign_at = 0, tokens[pos][2]
         while tokens[pos][:2] == ("op", "-"):
             pos += 1
@@ -137,14 +158,16 @@ def _compile(text: str, variable: str) -> list[tuple[str, object, int]]:
         pos += 1
         if kind == "int":
             emit(("int", value, at))
+            d, l = 0, log2(value or 1)
         elif kind == "name":
             if value.lower() != variable:
                 raise ParseError(f"unknown identifier {value!r}", at)
             emit(("x", None, at))
+            d, l = 1, 0.0
         elif kind == "op" and value == "(":
             if nesting == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
-            expr(nesting + 1)
+            d, l = expr(nesting + 1)
             kind, value, at = tokens[pos]
             pos += 1
             if kind != "op" or value != ")":
@@ -157,74 +180,42 @@ def _compile(text: str, variable: str) -> list[tuple[str, object, int]]:
             at = tokens[pos][2]
             negative = tokens[pos + 1][:2] == ("op", "-")
             pos += 2 + negative
-            kind, value, where = tokens[pos - 1]
+            kind, k, where = tokens[pos - 1]
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", where)
             if negative:
                 raise ParseError("negative exponent not allowed", where)
-            if value > MAX_EXPONENT:
+            if k > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds bound {MAX_EXPONENT}", where)
-            emit(("^", value, at))
+            emit(("^", k, at))
+            if past_degree_at is None and d * k > MAX_EXPONENT:
+                past_degree_at = at
+            if spent > MAX_COST:
+                d, l = d * k, l * k
+                continue
+            pd, pl = 0, 0.0
+            for i in range(k.bit_length()):
+                if i:
+                    spent += (d + 1) * (d + 1) * (l // 30 + 1) * (l // 30 + 1)
+                    d, l = d + d, l + l
+                if k >> i & 1:
+                    spent += (pd + 1) * (d + 1) * (pl // 30 + 1) * (l // 30 + 1)
+                    pd, pl = pd + d, pl + l
+            d, l = pd, pl
         if signs % 2:
             emit(("neg", None, sign_at))
+        return d, l
 
     expr(0)
     # expr returns only at ")" or the end: every other token goes on a sum or a term
     kind, _, at = tokens[pos]
     if kind != "end":
         raise ParseError("unbalanced parenthesis", at)
-    return program
-
-
-def _check_cost(program: list[tuple[str, object, int]]) -> None:
-    """Refuse a program whose expansion is estimated past MAX_COST products of
-    30-bit digits, else one with a power whose degree bound times its exponent
-    passes MAX_EXPONENT, at the first such "^" (so (X^5001-X^5001+3*X)^2 is
-    refused though its terms cancel); _evaluate refuses nothing.  A value is
-    bounded by its degree d and log2 l of its absolute coefficient sum, which
-    is submultiplicative; a product costs (d1 + 1) * (d2 + 1) * (l1 // 30 + 1)
-    * (l2 // 30 + 1), and a power those of square-and-multiply, replayed below
-    as a cost model only: refusals stay put, although no code multiplies in
-    that order (polynomial._pow_coeffs packs, or squares halves)."""
-    stack: list[tuple[int, float]] = []
-    spent = 0.0
-    past_degree_at = None
-    for op, arg, at in program:
-        if op == "int":
-            stack.append((0, log2(abs(arg) or 1)))
-        elif op == "x":
-            stack.append((1, 0.0))
-        elif op == "*":
-            d2, l2 = stack.pop()
-            d1, l1 = stack[-1]
-            spent += (d1 + 1) * (d2 + 1) * (l1 // 30 + 1) * (l2 // 30 + 1)
-            stack[-1] = (d1 + d2, l1 + l2)
-            if spent > MAX_COST:
-                break
-        elif op == "^":
-            d, l = stack[-1]
-            if past_degree_at is None and d * arg > MAX_EXPONENT:
-                past_degree_at = at
-            pd, pl = 0, 0.0
-            for i in range(arg.bit_length()):
-                if i:
-                    spent += (d + 1) * (d + 1) * (l // 30 + 1) * (l // 30 + 1)
-                    d, l = d + d, l + l
-                if arg >> i & 1:
-                    spent += (pd + 1) * (d + 1) * (pl // 30 + 1) * (l // 30 + 1)
-                    pd, pl = pd + d, pl + l
-            stack[-1] = (pd, pl)
-            if spent > MAX_COST:
-                break
-        elif op != "neg":  # + or -: the coefficient sums add
-            d2, l2 = stack.pop()
-            d1, l1 = stack[-1]
-            log = l1 + log2(1 + 2.0 ** (l2 - l1)) if l1 >= l2 else l2 + log2(1 + 2.0 ** (l1 - l2))
-            stack[-1] = (max(d1, d2), log)
     if spent > MAX_COST:
         raise ParseError(f"estimated expansion cost exceeds bound {MAX_COST}", 0)
     if past_degree_at is not None:
         raise ParseError(f"expanded power degree exceeds bound {MAX_EXPONENT}", past_degree_at)
+    return program
 
 
 def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
@@ -257,7 +248,6 @@ def _evaluate(program: list[tuple[str, object, int]], m: int = 0) -> list[int]:
 def parse(text: str, variable: str = "X") -> Polynomial:
     """Parse an expression like ``(X^2+3)*(X^2+3*X+9)`` into a Polynomial."""
     program = _compile(text, variable)
-    _check_cost(program)
     return Polynomial._of(_evaluate(program))
 
 
@@ -268,7 +258,6 @@ def _parse_residues(text: str, m: int) -> Polynomial:
     modulo m and 2**61 - 1: P = 0 returns for the caller to refuse, and any
     other P = 0 mod m as the constant m."""
     program = _compile(text, "X")
-    _check_cost(program)
     residues = _evaluate(program, m)
     if not residues and (_evaluate(program, 2**61 - 1) or _evaluate(program)):
         residues = [m]

@@ -122,19 +122,18 @@ def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
 
 
 def _level_counts(trunk: Trunk, last: int) -> list[int]:
-    """[N_0, ..., N_last]: each vertex's own window, by the rule of _windows,
-    then each certified tail of thickness t by the recurrence of its period.
-    The certified windows of each t share one run, extended up to last, so
-    this takes O(vertices * t + thicknesses * last) steps.  Every open branch
-    must reach last; at t0 + built_depth it always does.
+    """[N0_0, ..., N0_last] for P0 = P / p**t0: each vertex's own window, by the
+    rule of _windows, then each certified tail of thickness t by the recurrence
+    of its period.  The certified windows of each t share one run, extended up
+    to last, so this takes O(vertices * t + thicknesses * last) steps.  Every
+    open branch must reach last; at built_depth it always does.
     """
-    p, t0 = trunk.p, trunk.t0
-    counts = [p**e for e in range(min(t0, last) + 1)] + [0] * (last - t0)
+    p = trunk.p
+    counts = [1] + [0] * last
     runs = defaultdict(lambda: [0] * (last + 1))  # t -> the certified windows of thickness t
     for node in trunk.iter_nodes():
-        t, phi = node.t, node.phi + t0
-        run = runs[t] if node.status in CERTIFIED else counts
-        for e in range(phi - t + 1, min(phi, last) + 1):
+        run = runs[node.t] if node.status in CERTIFIED else counts
+        for e in range(node.phi - node.t + 1, min(node.phi, last) + 1):
             run[e] += p ** (e - node.k)
     for t, run in runs.items():
         for e in range(t, last + 1):

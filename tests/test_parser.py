@@ -124,7 +124,9 @@ PINNED_ERRORS = [
     ("X+1)", "unbalanced parenthesis", 3),
     # MAX_COST: a power, a product of powers, a sum of powers, a power of a
     # constant, a chain the estimate leaves at its first link past the bound,
-    # and a power whose degree bound 5001 is far above its degree 1
+    # a power whose degree bound 5001 is far above its degree 1, and a chain
+    # whose coefficient bound, charged on past the bound, would reach inf and
+    # make the cost nan
     ("(X+1)^3000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
     ("(X+1)^2000 * (X+1)^2000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
     ("(X^2+1)^5000 - (X^9)^9^9", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
@@ -132,6 +134,8 @@ PINNED_ERRORS = [
     pytest.param("X" + "^9999" * 5000, f"estimated expansion cost exceeds bound {MAX_COST}", 0,
                  id="power-chain"),
     ("X^3*(X^5001-X^5001+3*X)^5000", f"estimated expansion cost exceeds bound {MAX_COST}", 0),
+    pytest.param("2" + "^10000" * 90, f"estimated expansion cost exceeds bound {MAX_COST}", 0,
+                 id="power-chain-past-inf"),
     # the expanded power's degree past MAX_EXPONENT, at its "^"
     ("(X^2)^5001", "expanded power degree exceeds bound 10000", 5),
     ("(X^200)^200", "expanded power degree exceeds bound 10000", 7),

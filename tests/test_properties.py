@@ -388,6 +388,31 @@ def test_poincare_coefficients_match_counts(case, max_level):
 
 
 @settings(deterministic, max_examples=100)
+@given(case=trunk_inputs(), k=st.integers(1, 8), max_level=st.integers(1, 6))
+def test_a_content_p_to_the_k_shifts_the_series_by_k(case, k, max_level):
+    P0, p = case
+    series0 = poincare_series(build_trunk(P0, p, max_level))
+    series = poincare_series(build_trunk(P0 * p**k, p, max_level))
+    assert series.certified == series0.certified
+    assert series.denominator == series0.denominator
+    assert series.denominator_factors == series0.denominator_factors
+    # (1 + ... + u**(k-1)) * D + u**k * N0, by schoolbook products
+    D, N0 = series0.denominator, series0.numerator
+    numerator = [Fraction(0)] * (k + max(len(D), len(N0)))
+    for i in range(k):
+        for j, c in enumerate(D):
+            numerator[i + j] += c
+    for j, c in enumerate(N0):
+        numerator[k + j] += c
+    while not numerator[-1]:
+        numerator.pop()
+    assert series.numerator == tuple(numerator)
+    # an open series is known up to its numerator's last term
+    horizon = k + (3 * max_level if series0.certified else len(N0) - 1)
+    assert series.expand(horizon) == [1] * k + series0.expand(horizon - k)
+
+
+@settings(deterministic, max_examples=100)
 @given(case=trunk_inputs(), max_level=st.integers(1, 30))
 def test_truncated_series_matches_counts_level_by_level(case, max_level):
     P, p = case
@@ -414,8 +439,10 @@ def test_level_counts_are_the_counts_level_by_level(case, max_level, extra):
     P, p = case
     trunk = build_trunk(P, p, max_level)
     # an open trunk is known up to its built depth, a certified one at every level
-    last = trunk.t0 + max_level + (extra if trunk.fully_resolved else -min(extra, max_level))
-    assert _level_counts(trunk, last) == [count_solutions(trunk, e) for e in range(last + 1)]
+    last = max_level + (extra if trunk.fully_resolved else -min(extra, max_level))
+    # the counts of P0 = P / p**t0: P's from level t0 on are p**t0 times them
+    assert [p**trunk.t0 * n for n in _level_counts(trunk, last)] == [
+        count_solutions(trunk, e) for e in range(trunk.t0, trunk.t0 + last + 1)]
 
 
 def _roots_of_powers(P):
