@@ -517,8 +517,14 @@ def _packed(factors: list, k: int, bits: int) -> list[int]:
         bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(cs), "little")
         x *= (int.from_bytes(data, "little") ^ bias) - bias
         n += (len(cs) - 1) * k
+    return _unpack(x ** k, n, width)
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n signed slots of width bytes in x, lowest first, unbiased as in _packed."""
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    data = ((x ** k + bias) ^ bias).to_bytes(n * width, "little")
+    data = ((x + bias) ^ bias).to_bytes(n * width, "little")
+    fmt = _FORMATS.get(width)
     if fmt:
         return list(struct.unpack(f"<{n}{fmt}", data))
     return [int.from_bytes(data[i:i + width], "little", signed=True)

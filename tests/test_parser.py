@@ -1,6 +1,8 @@
+import math
 import random
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -466,3 +468,86 @@ def test_residue_parse_runs_exactly_only_what_vanishes_mod_a_second_prime(
     monkeypatch.setattr(parser, "_evaluate", spy)
     assert _parse_residues(text, 9) == Polynomial(value)
     assert moduli == walks
+
+
+# ----------------------------------------------------------------------
+# the packed evaluation: a small program runs as one int at X = 2^(8w)
+# ----------------------------------------------------------------------
+
+MODULI = [0, 2, 9, 2**61 - 1, 10**30]
+
+
+def _run(program, m, limit):
+    """_evaluate's coefficients with PACK_LIMIT set to limit: math.inf packs
+    every program, 0 none."""
+    with mock.patch.object(parser, "PACK_LIMIT", limit):
+        return parser._evaluate(program, m)
+
+
+def _across_the_limit(side):
+    """A text of degree 9 whose 2^(8 * w - 4), beside negative coefficients
+    and terms that cancel, needs 10 slots of w bytes: for side -1 the most
+    whose 80 * w bits are below PACK_LIMIT, for side 0 one byte more."""
+    w = -(-parser.PACK_LIMIT // 80) + side
+    return f"2^{8 * w - 4}*X^9 - X^4 + 1 + (X^3 - 1)*(X^3 + 1) - X^6"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(text=texts(), m=st.sampled_from(MODULI))
+def test_packed_evaluation_is_the_per_op_loop(text, m):
+    program = parser._compile(text[0], "X")
+    assert _run(program, m, math.inf) == _run(program, m, 0)
+
+
+@pytest.mark.parametrize("m", MODULI)
+@pytest.mark.parametrize("text", [
+    "-17*X^6+33*X^5-9*X+14",
+    "(X-1)*(X+1) - X^2 + 1",
+    "(X+1)^5 - (X-1)^5 - 10*X^4",
+    "-(X^2+3)*(X^2-3*X+9)^3",
+    "X^0",
+    "(X+5)^0*X^3",
+    "X - X",
+    "(X^3-2)^4 - (X^3-2)^4",
+    pytest.param("X - " + "9" * MAX_DIGITS, id="4300-digit-literal"),
+    pytest.param("-" + "7" * MAX_DIGITS + "*X^2 + " + "3" * MAX_DIGITS, id="4300-digit-literals"),
+    pytest.param(_across_the_limit(-1), id="a-byte-below-the-limit"),
+    pytest.param(_across_the_limit(0), id="a-byte-above-the-limit"),
+])
+def test_packed_evaluation_agrees_on_chosen_texts(text, m):
+    program = parser._compile(text, "X")
+    assert _run(program, m, math.inf) == _run(program, m, 0)
+    P = Polynomial(_run(program, 0, 0))
+    for x in (-3, 2, 257):
+        assert P.evaluate(x) == _evaluate_at(text, x)
+
+
+@pytest.mark.parametrize("text, slots", [
+    ("-17*X^6+33*X^5-9*X+14", 7),
+    ("(X-28)^2*(X-10)^2", 5),
+    (_across_the_limit(-1), 10),
+    ("(2^10000^100+X^5000)*(X+1)", None),
+    ("(X+1)^1000*(X+2)^1000", None),
+    (_across_the_limit(0), None),
+])
+def test_which_programs_run_as_one_int(text, slots, monkeypatch):
+    unpacked = []
+    unpack = parser._unpack
+
+    def spy(x, n, width):
+        unpacked.append(n)
+        return unpack(x, n, width)
+    monkeypatch.setattr(parser, "_unpack", spy)
+    _parse_residues(text, 9)
+    assert unpacked == ([slots] if slots else [])
+
+
+def test_a_power_to_the_zero_does_not_narrow_the_packed_size():
+    # the value 2^4000 packs in one slot of 501 bytes, but X^10000 on the
+    # way would be a 40-Mbit int in such slots: the per-op loop runs it
+    text = "(X^10000+1)^0*2^4000"
+    assert parser._compile(text, "X").bound == (10000, 4000)
+    start = time.perf_counter()
+    assert parse(text) == Polynomial([2**4000])
+    assert _parse_residues(text, 9) == Polynomial([(2**4000 + 4) % 9 - 4])
+    assert time.perf_counter() - start < 0.5
