@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from .analysis import classify_quadratic, poincare_series
 from .parser import _parse_residues, parse
 from .polynomial import _render_terms, poly_to_str
-from .primes import is_prime
+from .primes import _strip, is_prime
 from .solver import (
     _listing,
     ball_decomposition,
@@ -295,20 +295,26 @@ def _cmd_classify(args: argparse.Namespace) -> list[str | bytes]:
     return [f"kind: {payload['kind']}\nbase stem length: {payload['base_length']}"]
 
 
+def _over_power(n: int, p: int, e: int) -> str:
+    """str(Fraction(n, p**e)) for a count 0 <= n <= p**e, reduced by the valuation of n."""
+    a, v = _strip(n, p) if n else (0, e)
+    return str(a) if v == e else f"{a}/{p ** (e - v)}"
+
+
 def _cmd_poincare(args: argparse.Namespace) -> list[str | bytes]:
     trunk = build_trunk(parse(args.poly), args.prime, args.max_level)
     series = poincare_series(trunk)
     if series.certified:
         horizon = max(10, trunk.built_depth) if args.horizon is None else args.horizon
     else:
-        available = len(series.numerator) - 1
+        available = series.t0 + len(series.w_numerator) - 1
         horizon = available if args.horizon is None else min(args.horizon, available)
-    coeffs = series.expand(horizon)
+    counts = series.counts(horizon)
     payload: dict = {
         "certified": series.certified,
         "horizon": horizon,
-        "coefficients": [str(c) for c in coeffs],
-        "counts": [str(c * args.prime**e) for e, c in enumerate(coeffs)],
+        "coefficients": [_over_power(n, args.prime, e) for e, n in enumerate(counts)],
+        "counts": [str(n) for n in counts],
     }
     if series.certified:
         # series in u list their terms in ascending powers

@@ -103,7 +103,8 @@ def _windows(trunk: Trunk, e: int) -> list[tuple[TrunkNode, int]]:
         return [(trunk.root, 0)]
     windows = []
     short = None
-    for node in trunk.iter_nodes():
+    # under a vertex with phi >= e1 every phi - t is >= e1: no window, none short
+    for node in trunk.iter_nodes(below=e1):
         if node.phi - node.t < e1 and (e1 <= node.phi or node.status in CERTIFIED):
             # node.k + ceil((e1 - phi) / t), which is node.k inside the window
             windows.append((node, node.k - (node.phi - e1) // node.t))

@@ -147,13 +147,15 @@ class Trunk:
     root: TrunkNode
     built_depth: int
 
-    def iter_nodes(self) -> Iterator[TrunkNode]:
-        """All non-root vertices, preorder, children in increasing residue."""
+    def iter_nodes(self, below: float = math.inf) -> Iterator[TrunkNode]:
+        """All non-root vertices, preorder, children in increasing residue; none
+        under a vertex whose phi is at least below."""
         stack = list(reversed(self.root.children))
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children))
+            if node.phi < below:
+                stack.extend(reversed(node.children))
 
     @property
     def d_p(self) -> int:

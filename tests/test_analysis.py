@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,24 @@ def test_series_with_content_shift(checked_build):
     # levels 1 and 2 are solved by the content alone, nothing beyond
     assert series.numerator == (Fraction(1), Fraction(1), Fraction(1))
     assert series.denominator == (Fraction(1),)
+
+
+def test_a_large_content_stays_a_shift_in_u():
+    # forming the content's coefficients p**j of w**j, j < t0, is quadratic in
+    # t0 and takes seconds at t0 = 20000; the shift in u takes milliseconds
+    t0 = 20000
+    start = time.perf_counter()
+    trunk = build_trunk(Polynomial([-1, 0, 1]) * 3**t0, 3, 16)
+    series = poincare_series(trunk)
+    numerator, coeffs = series.numerator, series.expand(t0 + 3)
+    assert time.perf_counter() - start < 0.5
+    assert trunk.t0 == t0 and series.certified
+    # (1 + ... + u**(t0-1)) * (1 - u/3) + u**t0 * (1 + u/3)
+    assert series.denominator == (1, Fraction(-1, 3))
+    assert numerator == (1,) + (Fraction(2, 3),) * t0 + (Fraction(1, 3),)
+    # N_e = 3**e up to t0, then 3**t0 * 2: coefficient 1, then 2 / 3**(e - t0)
+    assert coeffs == [1] * (t0 + 1) + [Fraction(2, 3**j) for j in (1, 2, 3)]
+    assert series.counts(3) == [1, 3, 9, 27]
 
 
 def test_series_random_agreement():

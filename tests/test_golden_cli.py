@@ -47,6 +47,9 @@ solutions, in text and JSON, and `X^3*(X-1)^2` mod 415800 =
 precisions.  Four empty listings of `X^2+1`, mod 3^2 and mod 21, in text
 (`solutions: ` with a trailing space) and JSON (`"solutions": []`), were
 added before listings came to be formatted through one bytes template.
+Every `poincare` case passed, as recorded, when the series came to be
+kept and expanded in integers in u/p and each printed coefficient to be
+formatted from its count N_e.
 
 To record the outputs again after a deliberate output change, run
 `PYTHONPATH=src python tests/test_golden_cli.py` and review the diff.

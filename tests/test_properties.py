@@ -4,6 +4,8 @@ Hypothesis runs derandomized with a bounded number of examples, so the
 suite is deterministic and its run time stays fixed.
 """
 
+import contextlib
+import io
 import json
 import random
 import re
@@ -29,12 +31,15 @@ from padic_trunk import (
     poincare_series,
     val_p,
 )
+from padic_trunk import cli
 from padic_trunk.cli import _all_digits, _solve_text, _write
 from padic_trunk.polynomial import (
-    ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, roots_mod_p)
+    ROOT_SCAN_LIMIT, SCAN_MEMO_DEGREE, _roots_by_gcd, _scan, poly_to_str, roots_mod_p)
 from padic_trunk.primes import is_prime
-from padic_trunk.solver import _BLOCK, _ball, _class_blocks, _crt_members, _level_counts
-from padic_trunk.trunk import STATUS_POWER, hensel_lift, thickness
+from padic_trunk.solver import (
+    _BLOCK, _ball, _class_blocks, _crt_members, _level_counts, _windows)
+from padic_trunk.trunk import (
+    CERTIFIED, STATUS_POWER, STATUS_UNDETERMINED, hensel_lift, thickness)
 
 import digest
 from invariants import check_trunk, distinct_root_count
@@ -425,6 +430,39 @@ def test_truncated_series_matches_counts_level_by_level(case, max_level):
         for e in range(trunk.t0 + max_level + 1))
 
 
+def _u_series(numerator, denominator, horizon):
+    """Coefficients 0..horizon of numerator / denominator by the recurrence
+    over Fractions in u that expand() ran before the series moved to integers
+    in w = u/p."""
+    coeffs = []
+    for i in range(horizon + 1):
+        acc = numerator[i] if i < len(numerator) else 0
+        for j in range(1, min(i, len(denominator) - 1) + 1):
+            acc -= denominator[j] * coeffs[i - j]
+        coeffs.append(Fraction(acc))
+    return coeffs
+
+
+@settings(deterministic, max_examples=100)
+@given(case=trunk_inputs(), k=st.integers(0, 8), max_level=st.integers(1, 6))
+def test_poincare_cli_prints_the_counts_and_their_ratios(case, k, max_level):
+    P, p = case
+    P = P * p**k
+    trunk = build_trunk(P, p, max_level)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["poincare", "--poly", poly_to_str(P), "--prime", str(p),
+                         "--max-level", str(max_level), "--format", "json"]) == 0
+    payload = json.loads(out.getvalue())["payload"]
+    horizon = int(payload["horizon"])
+    counts = [count_solutions(trunk, e) for e in range(horizon + 1)]
+    assert payload["counts"] == [str(n) for n in counts]
+    assert payload["coefficients"] == [str(Fraction(n, p**e)) for e, n in enumerate(counts)]
+    series = poincare_series(trunk)
+    assert series.counts(horizon) == counts
+    assert series.expand(horizon) == _u_series(series.numerator, series.denominator, horizon)
+
+
 @settings(deterministic, max_examples=150)
 @given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 8),
        extra=st.integers(0, 12))
@@ -443,6 +481,50 @@ def test_level_counts_are_the_counts_level_by_level(case, max_level, extra):
     # the counts of P0 = P / p**t0: P's from level t0 on are p**t0 times them
     assert [p**trunk.t0 * n for n in _level_counts(trunk, last)] == [
         count_solutions(trunk, e) for e in range(trunk.t0, trunk.t0 + last + 1)]
+
+
+def _windows_by_full_walk(trunk, e):
+    """_windows by the walk over every vertex that it ran before it skipped the
+    subtrees below phi >= e - t0: the same windows, in the same order, and the
+    same InsufficientDepthError."""
+    def preorder(node):
+        for child in node.children:
+            yield child
+            yield from preorder(child)
+
+    e1 = e - trunk.t0
+    if e1 <= 0:
+        return [(trunk.root, 0)]
+    windows, short = [], None
+    for node in preorder(trunk.root):
+        if node.phi - node.t < e1 and (e1 <= node.phi or node.status in CERTIFIED):
+            windows.append((node, node.k - (node.phi - e1) // node.t))
+        elif node.phi < e1 and node.status == STATUS_UNDETERMINED and (
+                short is None or node.phi < short.phi):
+            short = node
+    if short is not None:
+        raise InsufficientDepthError(
+            f"insufficient depth: an undetermined branch at level {short.k}"
+            f" only covers levels up to {short.phi + trunk.t0}; rebuild the"
+            f" trunk with max_level >= {trunk.built_depth + e1 - short.phi}")
+    return windows
+
+
+@settings(deterministic, max_examples=100)
+@given(case=st.one_of(trunk_inputs(), pure_powers()), max_level=st.integers(1, 8),
+       levels_only=st.booleans())
+def test_windows_skip_no_window_of_the_full_walk(case, max_level, levels_only):
+    P, p = case
+    trunk = build_trunk(P, p, max_level, levels_only=levels_only)
+    for e in range(trunk.t0 + max_level + 4):
+        try:
+            expected = [(id(node), k) for node, k in _windows_by_full_walk(trunk, e)]
+        except InsufficientDepthError as error:
+            with pytest.raises(InsufficientDepthError) as raised:
+                _windows(trunk, e)
+            assert str(raised.value) == str(error)
+            continue
+        assert [(id(node), k) for node, k in _windows(trunk, e)] == expected
 
 
 def _roots_of_powers(P):
